@@ -11,7 +11,8 @@ Public entry points:
 - :mod:`repro.ip` — workload generators and memory targets;
 - :mod:`repro.niu` — NIUs, tag policies and the gate-count model.
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+``examples/quickstart.py`` is the smallest end-to-end run;
+``layerbench/run.py`` measures the simulator layer by layer.
 """
 
 __version__ = "0.1.0"

@@ -37,28 +37,30 @@ class Opcode(enum.Enum):
     LOCK = "LOCK"
     UNLOCK = "UNLOCK"
 
-    @property
-    def is_write(self) -> bool:
-        return self in (Opcode.STORE, Opcode.STORE_POSTED, Opcode.STORE_COND_LOCKED)
+    # Per-member flags, assigned once below the class: they are read on
+    # every issue, admission and delivery, and a plain attribute read
+    # costs a fraction of a property that re-tests tuple membership.
+    #: STORE, STORE_POSTED and STORE_COND_LOCKED.
+    is_write: bool
+    #: LOAD and READEX.
+    is_read: bool
+    #: Everything but STORE_POSTED: posted stores complete at the NIU.
+    expects_response: bool
+    #: The legacy blocking-synchronization family (paper §3): READEX,
+    #: STORE_COND_LOCKED, LOCK and UNLOCK.
+    is_locking: bool
 
-    @property
-    def is_read(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.READEX)
 
-    @property
-    def expects_response(self) -> bool:
-        """Posted stores complete at the NIU; everything else gets a reply."""
-        return self is not Opcode.STORE_POSTED
-
-    @property
-    def is_locking(self) -> bool:
-        """True for legacy blocking-synchronization opcodes (paper §3)."""
-        return self in (
-            Opcode.READEX,
-            Opcode.STORE_COND_LOCKED,
-            Opcode.LOCK,
-            Opcode.UNLOCK,
-        )
+for _op in Opcode:
+    _op.is_write = _op in (Opcode.STORE, Opcode.STORE_POSTED, Opcode.STORE_COND_LOCKED)
+    _op.is_read = _op in (Opcode.LOAD, Opcode.READEX)
+    _op.expects_response = _op is not Opcode.STORE_POSTED
+    _op.is_locking = _op in (
+        Opcode.READEX,
+        Opcode.STORE_COND_LOCKED,
+        Opcode.LOCK,
+        Opcode.UNLOCK,
+    )
 
 
 class BurstType(enum.Enum):
@@ -102,9 +104,12 @@ class ResponseStatus(enum.Enum):
     SLVERR = "SLVERR"  # target signalled an error
     DECERR = "DECERR"  # no target decoded for the address
 
-    @property
-    def is_error(self) -> bool:
-        return self in (ResponseStatus.SLVERR, ResponseStatus.DECERR)
+    #: SLVERR and DECERR (a plain member attribute, like Opcode's flags).
+    is_error: bool
+
+
+for _status in ResponseStatus:
+    _status.is_error = _status in (ResponseStatus.SLVERR, ResponseStatus.DECERR)
 
 
 #: Global transaction-id stream.  A SerialCounter (not itertools.count)

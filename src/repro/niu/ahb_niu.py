@@ -61,9 +61,11 @@ class AhbInitiatorNiu(InitiatorNiu):
             raise ValueError("AHB NIU requires a fully-ordered policy")
         super().__init__(name, fabric, endpoint, address_map, policy)
         self._attach_socket(socket)
+        self._req = socket.req("req")
+        self._rsp = socket.rsp("rsp")
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
-        channel = self.socket.req("req")
+        channel = self._req
         if not channel._committed:
             return None
         request: AhbRequest = channel.peek()
@@ -85,10 +87,10 @@ class AhbInitiatorNiu(InitiatorNiu):
         return self._peek_txn
 
     def pop_native(self) -> None:
-        self.socket.req("req").pop()
+        self._req.pop()
 
     def push_native_response(self, entry: StateEntry) -> bool:
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         if not channel.can_push():
             return False
         channel.push(

@@ -26,6 +26,7 @@ from repro.protocols.axi import (
     xresp_from_status,
 )
 from repro.protocols.base import MasterSocket
+from repro.sim.queue import SimQueue
 from repro.transport.network import Fabric
 
 
@@ -63,8 +64,12 @@ class AxiInitiatorNiu(InitiatorNiu):
             raise ValueError("AXI NIU requires an ID-based policy")
         super().__init__(name, fabric, endpoint, address_map, policy)
         self._attach_socket(socket)
+        self._ar = socket.req("ar")
+        self._aw = socket.req("aw")
+        self._r = socket.rsp("r")
+        self._b = socket.rsp("b")
         self._prefer_read = True
-        self._peeked_channel: Optional[str] = None
+        self._peeked_channel: Optional[SimQueue] = None
 
     # ------------------------------------------------------------------ #
     def _convert_ar(self, ar: AxiAR) -> Transaction:
@@ -101,18 +106,16 @@ class AxiInitiatorNiu(InitiatorNiu):
         )
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
-        ar = self.socket.req("ar")
-        aw = self.socket.req("aw")
-        order = ["ar", "aw"] if self._prefer_read else ["aw", "ar"]
-        for channel_name in order:
-            channel = ar if channel_name == "ar" else aw
+        ar = self._ar
+        aw = self._aw
+        for channel in (ar, aw) if self._prefer_read else (aw, ar):
             if channel._committed:
-                self._peeked_channel = channel_name
-                record = channel.peek()
+                self._peeked_channel = channel
+                record = channel._committed[0]
                 if record is self._peek_key:
                     return self._peek_txn
                 self._peek_key = record
-                if channel_name == "ar":
+                if channel is ar:
                     self._peek_txn = self._convert_ar(record)
                 else:
                     self._peek_txn = self._convert_aw(record)
@@ -121,15 +124,16 @@ class AxiInitiatorNiu(InitiatorNiu):
         return None
 
     def pop_native(self) -> None:
-        assert self._peeked_channel is not None
-        self.socket.req(self._peeked_channel).pop()
+        channel = self._peeked_channel
+        assert channel is not None
+        channel.pop()
         # Alternate between directions for fairness.
-        self._prefer_read = self._peeked_channel == "aw"
+        self._prefer_read = channel is self._aw
         self._peeked_channel = None
 
     def push_native_response(self, entry: StateEntry) -> bool:
         if entry.txn.opcode.is_read:
-            channel = self.socket.rsp("r")
+            channel = self._r
             if not channel.can_push():
                 return False
             channel.push(
@@ -141,7 +145,7 @@ class AxiInitiatorNiu(InitiatorNiu):
                 )
             )
             return True
-        channel = self.socket.rsp("b")
+        channel = self._b
         if not channel.can_push():
             return False
         channel.push(

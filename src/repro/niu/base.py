@@ -34,6 +34,10 @@ from repro.sim.queue import SimQueue
 from repro.sim.snapshot import Snapshottable
 from repro.transport.network import Fabric
 
+#: Burst kind by the name packets carry, built once (``BurstType[name]``
+#: per request goes through the enum metaclass).
+_BURSTS = {burst.value: burst for burst in BurstType}
+
 
 class InitiatorNiu(Component, Snapshottable):
     """Generic initiator-NIU engine.
@@ -85,6 +89,12 @@ class InitiatorNiu(Component, Snapshottable):
         # (the cache holds a strong reference, so `is` stays sound).
         self._peek_key = None
         self._peek_txn: Optional[Transaction] = None
+        # decode_span memo for the peeked Transaction, by identity: a
+        # stalled head is decoded once, not once per retried cycle.  A
+        # pure cache, so it stays out of the snapshot (a restored NIU
+        # holds a different Transaction object and simply re-decodes).
+        self._decoded_txn: Optional[Transaction] = None
+        self._decoded: Tuple[int, int] = (0, 0)
 
     # -- state capture ----------------------------------------------------
     # The peek-cache pair rides along so a restored NIU re-decodes (or
@@ -169,8 +179,16 @@ class InitiatorNiu(Component, Snapshottable):
     # engine
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
-        self._accept_responses(cycle)
-        self._deliver_responses(cycle)
+        if self._rsp_packets._committed:
+            self._accept_responses(cycle)
+        if self.table.has_responded:
+            self._deliver_responses(cycle)
+        for queue in self._native_req_queues:
+            if queue._committed:
+                break
+        else:
+            if self._native_req_queues:
+                return  # no native request visible: nothing to issue
         issued_any, saw_native = self._issue_requests(cycle)
         if not issued_any and saw_native:
             # A native request was visible but could not issue (decoded
@@ -179,22 +197,23 @@ class InitiatorNiu(Component, Snapshottable):
             self.stall_cycles += 1
 
     def _accept_responses(self, cycle: int) -> None:
-        queue = self.fabric.responses(self.endpoint)
+        queue = self._rsp_packets
+        table = self.table
+        trace = self._simulator.trace
         while queue._committed:
             packet: NocPacket = queue.pop()
-            entry = self.table.match_response(
+            entry = table.match_response(
                 packet.tag, packet.slv_addr, txn_id_hint=packet.txn_id
             )
-            self.table.mark_responded(
-                entry.txn_id, packet.status, packet.payload
-            )
-            self.simulator.trace.log(
-                cycle,
-                self.name,
-                "rsp_accept",
-                txn=entry.txn_id,
-                status=packet.status.value,
-            )
+            table.mark_responded(entry.txn_id, packet.status, packet.payload)
+            if trace.enabled:
+                trace.log(
+                    cycle,
+                    self.name,
+                    "rsp_accept",
+                    txn=entry.txn_id,
+                    status=packet.status.value,
+                )
 
     def _deliver_responses(self, cycle: int) -> None:
         delivered = 0
@@ -222,15 +241,20 @@ class InitiatorNiu(Component, Snapshottable):
             if txn is None:
                 break
             saw_native = True
-            try:
-                slv_addr, offset = self.address_map.decode_span(
-                    txn.address, txn.total_bytes
-                )
-            except DecodeError:
-                if not self._reject_decode(txn, cycle):
-                    break
-                issued_any = True
-                continue
+            if txn is self._decoded_txn:
+                slv_addr, offset = self._decoded
+            else:
+                try:
+                    slv_addr, offset = self.address_map.decode_span(
+                        txn.address, txn.beats * txn.beat_bytes
+                    )
+                except DecodeError:
+                    if not self._reject_decode(txn, cycle):
+                        break
+                    issued_any = True
+                    continue
+                self._decoded_txn = txn
+                self._decoded = (slv_addr, offset)
             if txn.opcode is Opcode.STORE_POSTED:
                 if not self.fabric.can_inject_request(self.endpoint):
                     break
@@ -419,22 +443,27 @@ class TargetNiu(Component, Snapshottable):
         return None
 
     def tick(self, cycle: int) -> None:
-        self._return_responses(cycle)
-        self._accept_requests(cycle)
+        order = self._order
+        if self.slave_socket.responses._committed or (
+            order and order[0] in self._ready
+        ):
+            self._return_responses(cycle)
+        if self._req_packets._committed or self._parked:
+            self._accept_requests(cycle)
 
     # ------------------------------------------------------------------ #
     # request path
     # ------------------------------------------------------------------ #
     def _accept_requests(self, cycle: int) -> None:
-        queue = self.fabric.requests(self.endpoint)
+        queue = self._req_packets
+        arrived = queue._committed
         if self.locks is not None:
             # Park lock-blocked heads aside so a bystander that slipped
             # into the queue around the LOCK can never head-of-line
             # block the holder's traffic (see _parked).  Per-source FIFO
             # is preserved: later packets of a parked master park too.
-            while queue:
-                head: NocPacket = queue.peek()
-                mst = head.mst_addr
+            while arrived:
+                mst = arrived[0].mst_addr
                 if self.locks.may_proceed(mst) and not any(
                     parked.mst_addr == mst for parked in self._parked
                 ):
@@ -462,10 +491,7 @@ class TargetNiu(Component, Snapshottable):
                     if self._serve_packet(packet, cycle):
                         del self._parked[servable]
                     return
-        if not queue:
-            return
-        packet = queue.peek()
-        if self._serve_packet(packet, cycle):
+        if arrived and self._serve_packet(arrived[0], cycle):
             queue.pop()
 
     def _serve_packet(self, packet: NocPacket, cycle: int) -> bool:
@@ -561,7 +587,7 @@ class TargetNiu(Component, Snapshottable):
         self._pending[token] = packet
         if packet.opcode is Opcode.STORE_COND_LOCKED and self.locks is not None:
             self._release_on_complete[token] = packet.mst_addr
-        burst = BurstType[packet.burst]
+        burst = _BURSTS[packet.burst]
         self.slave_socket.requests.push(
             SlaveRequest(
                 read=packet.opcode.is_read,
@@ -600,15 +626,17 @@ class TargetNiu(Component, Snapshottable):
             if mst is not None:
                 self.locks.release(mst)
         # Inject strictly in request-acceptance order.
-        while self._order and self._order[0] in self._ready:
-            token = self._order[0]
-            response = self._ready[token]
+        order = self._order
+        ready = self._ready
+        while order and order[0] in ready:
+            token = order[0]
+            response = ready[token]
             if response is not None:
                 if not self.fabric.can_inject_response(self.endpoint):
                     return
                 self.fabric.inject_response(self.endpoint, response)
-            del self._ready[token]
-            self._order.pop(0)
+            del ready[token]
+            order.pop(0)
 
     @property
     def outstanding(self) -> int:

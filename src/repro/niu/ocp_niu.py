@@ -54,9 +54,11 @@ class OcpInitiatorNiu(InitiatorNiu):
             raise ValueError("OCP NIU requires a threaded policy")
         super().__init__(name, fabric, endpoint, address_map, policy)
         self._attach_socket(socket)
+        self._req = socket.req("req")
+        self._rsp = socket.rsp("rsp")
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
-        channel = self.socket.req("req")
+        channel = self._req
         if not channel._committed:
             return None
         request: OcpRequest = channel.peek()
@@ -86,10 +88,10 @@ class OcpInitiatorNiu(InitiatorNiu):
         return self._peek_txn
 
     def pop_native(self) -> None:
-        self.socket.req("req").pop()
+        self._req.pop()
 
     def push_native_response(self, entry: StateEntry) -> bool:
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         if not channel.can_push():
             return False
         txn = entry.txn

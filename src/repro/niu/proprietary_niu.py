@@ -51,17 +51,19 @@ class MsgInitiatorNiu(InitiatorNiu):
             )
         super().__init__(name, fabric, endpoint, address_map, policy)
         self._attach_socket(socket)
+        self._req = socket.req("msg")
+        self._rsp = socket.rsp("ack")
         self.fences_served = 0
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
-        channel = self.socket.req("msg")
+        channel = self._req
         if not channel._committed:
             return None
         request: MsgRequest = channel.peek()
         if request.kind is MsgKind.FENCE:
             # NIU-local service: complete once every tracked transaction
             # has retired.  Never reaches the fabric.
-            ack = self.socket.rsp("ack")
+            ack = self._rsp
             if len(self.table) == 0 and ack.can_push():
                 channel.pop()
                 ack.push(
@@ -92,10 +94,10 @@ class MsgInitiatorNiu(InitiatorNiu):
         return self._peek_txn
 
     def pop_native(self) -> None:
-        self.socket.req("msg").pop()
+        self._req.pop()
 
     def push_native_response(self, entry: StateEntry) -> bool:
-        channel = self.socket.rsp("ack")
+        channel = self._rsp
         if not channel.can_push():
             return False
         channel.push(

@@ -16,12 +16,15 @@ socket, which is exactly how a small NIU trades performance for gates
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.transaction import ResponseStatus, Transaction
 from repro.sim.snapshot import Snapshottable
 
 StreamKey = Tuple[int, ...]
+
+_by_seq = attrgetter("seq")
 
 
 @dataclass
@@ -47,8 +50,24 @@ class StateTableFullError(RuntimeError):
     """Allocation attempted on a full table (caller must check first)."""
 
 
+def _unlink(entries: List["StateEntry"], entry: "StateEntry") -> None:
+    """Remove ``entry`` by identity (usually the head: tables drain in
+    order)."""
+    for index, candidate in enumerate(entries):
+        if candidate is entry:
+            del entries[index]
+            return
+
+
 class StateTable(Snapshottable):
-    """Bounded outstanding-transaction table with stream-order queries."""
+    """Bounded outstanding-transaction table with stream-order queries.
+
+    The per-response and per-cycle queries (:meth:`match_response`,
+    :meth:`deliverable`, :meth:`outstanding_targets`) read indexes kept
+    up to date at allocate, mark and release instead of scanning the
+    table.  The indexes are derived from ``_entries``: they are not
+    snapshotted, and restore rebuilds them.
+    """
 
     # Entries hold live Transaction/StateEntry objects; the checkpoint
     # layer's shared-memo deepcopy preserves aliasing with the NIU's
@@ -79,6 +98,44 @@ class StateTable(Snapshottable):
         # Live entries per stream (admission checks run per issue
         # attempt, so the population query must not scan the table).
         self._stream_counts: Dict[StreamKey, int] = {}
+        # Derived indexes, all oldest first: un-responded entries per
+        # (tag, slv_addr) — a response matches the head; live entries per
+        # stream — the head is the only one deliverable; and un-responded
+        # entry counts per stream per target.
+        self._open: Dict[Tuple[int, int], List[StateEntry]] = {}
+        self._streams: Dict[StreamKey, List[StateEntry]] = {}
+        self._open_targets: Dict[StreamKey, Dict[int, int]] = {}
+
+    def _restore_state(self, state) -> None:
+        super()._restore_state(state)
+        self._open.clear()
+        self._streams.clear()
+        self._open_targets.clear()
+        for entry in self.entries():
+            self._index(entry)
+
+    def _index(self, entry: StateEntry) -> None:
+        self._streams.setdefault(entry.stream, []).append(entry)
+        if not entry.responded:
+            self._open.setdefault((entry.tag, entry.slv_addr), []).append(entry)
+            targets = self._open_targets.setdefault(entry.stream, {})
+            targets[entry.slv_addr] = targets.get(entry.slv_addr, 0) + 1
+
+    def _close(self, entry: StateEntry) -> None:
+        """Drop an un-responded entry from the open indexes."""
+        key = (entry.tag, entry.slv_addr)
+        candidates = self._open[key]
+        _unlink(candidates, entry)
+        if not candidates:
+            del self._open[key]
+        targets = self._open_targets[entry.stream]
+        remaining = targets[entry.slv_addr] - 1
+        if remaining:
+            targets[entry.slv_addr] = remaining
+        else:
+            del targets[entry.slv_addr]
+            if not targets:
+                del self._open_targets[entry.stream]
 
     # ------------------------------------------------------------------ #
     # allocation / release
@@ -115,6 +172,7 @@ class StateTable(Snapshottable):
         )
         self._seq += 1
         self._entries[txn.txn_id] = entry
+        self._index(entry)
         self._stream_counts[stream] = self._stream_counts.get(stream, 0) + 1
         self.total_allocated += 1
         self.high_watermark = max(self.high_watermark, len(self._entries))
@@ -127,6 +185,12 @@ class StateTable(Snapshottable):
             raise KeyError(f"{self.name}: releasing unknown txn {txn_id}") from None
         if entry.responded:
             self._responded_count -= 1
+        else:
+            self._close(entry)
+        stream = self._streams[entry.stream]
+        _unlink(stream, entry)
+        if not stream:
+            del self._streams[entry.stream]
         remaining = self._stream_counts[entry.stream] - 1
         if remaining:
             self._stream_counts[entry.stream] = remaining
@@ -160,17 +224,13 @@ class StateTable(Snapshottable):
         with that tag and target.  The transported ``txn_id`` is checked
         as a simulation-level assertion on that guarantee.
         """
-        candidates = [
-            e
-            for e in self._entries.values()
-            if e.tag == tag and e.slv_addr == slv_addr and not e.responded
-        ]
+        candidates = self._open.get((tag, slv_addr))
         if not candidates:
             raise KeyError(
                 f"{self.name}: response (tag={tag}, slv={slv_addr}) matches "
                 f"no outstanding entry"
             )
-        entry = min(candidates, key=lambda e: e.seq)
+        entry = candidates[0]
         if txn_id_hint >= 0 and entry.txn_id != txn_id_hint:
             raise AssertionError(
                 f"{self.name}: fabric ordering violated — response for txn "
@@ -188,6 +248,7 @@ class StateTable(Snapshottable):
         entry = self._entries[txn_id]
         if entry.responded:
             raise KeyError(f"{self.name}: txn {txn_id} responded twice")
+        self._close(entry)
         entry.responded = True
         entry.status = status
         entry.payload = payload
@@ -199,10 +260,8 @@ class StateTable(Snapshottable):
     # ------------------------------------------------------------------ #
     def oldest_open(self, stream: StreamKey) -> Optional[StateEntry]:
         """Oldest (lowest stream_seq) entry of a stream, if any."""
-        entries = [e for e in self._entries.values() if e.stream == stream]
-        if not entries:
-            return None
-        return min(entries, key=lambda e: e.stream_seq)
+        entries = self._streams.get(stream)
+        return entries[0] if entries else None
 
     @property
     def has_responded(self) -> bool:
@@ -219,24 +278,17 @@ class StateTable(Snapshottable):
         """
         if not self._responded_count:
             return []
-        oldest: Dict[StreamKey, StateEntry] = {}
-        for entry in self._entries.values():
-            best = oldest.get(entry.stream)
-            if best is None or entry.stream_seq < best.stream_seq:
-                oldest[entry.stream] = entry
-        return sorted(
-            (e for e in oldest.values() if e.responded), key=lambda e: e.seq
-        )
+        ready = [
+            entries[0] for entries in self._streams.values() if entries[0].responded
+        ]
+        if len(ready) > 1:
+            ready.sort(key=_by_seq)
+        return ready
 
     def outstanding_targets(self, stream: StreamKey) -> List[int]:
         """Distinct targets with un-responded entries in a stream."""
-        return sorted(
-            {
-                e.slv_addr
-                for e in self._entries.values()
-                if e.stream == stream and not e.responded
-            }
-        )
+        targets = self._open_targets.get(stream)
+        return sorted(targets) if targets else []
 
     def stream_population(self, stream: StreamKey) -> int:
         return self._stream_counts.get(stream, 0)

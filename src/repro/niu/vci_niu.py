@@ -89,9 +89,11 @@ class VciInitiatorNiu(InitiatorNiu):
         self.flavor = flavor
         self.protocol_name = flavor
         self._attach_socket(socket)
+        self._req = socket.req("cmd")
+        self._rsp = socket.rsp("rsp")
 
     def peek_native(self, cycle: int) -> Optional[Transaction]:
-        channel = self.socket.req("cmd")
+        channel = self._req
         if not channel._committed:
             return None
         request: VciRequest = channel.peek()
@@ -117,10 +119,10 @@ class VciInitiatorNiu(InitiatorNiu):
         return self._peek_txn
 
     def pop_native(self) -> None:
-        self.socket.req("cmd").pop()
+        self._req.pop()
 
     def push_native_response(self, entry: StateEntry) -> bool:
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         if not channel.can_push():
             return False
         channel.push(

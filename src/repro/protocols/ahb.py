@@ -137,10 +137,15 @@ class AhbMaster(ProtocolMaster):
         self.socket = MasterSocket(
             sim, f"{name}.sock", request_channels=["req"], response_channels=["rsp"]
         )
+        self._req = self.socket.req("req")
+        self._rsp = self.socket.rsp("rsp")
+
+    def budget_full(self, txn: Transaction) -> bool:
+        return bool(self._inflight)  # AHB: one transfer stream
 
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
-        if self.outstanding > 0:
-            return False  # AHB: one transfer stream
+        if self.budget_full(txn):
+            return False
         if txn.excl:
             raise ProtocolError(
                 f"{self.name}: AHB has no exclusive access; use locked "
@@ -152,7 +157,7 @@ class AhbMaster(ProtocolMaster):
                 f"real transfers (READEX/STORE_COND_LOCKED), not bare "
                 f"LOCK/UNLOCK"
             )
-        channel = self.socket.req("req")
+        channel = self._req
         if not channel.can_push():
             return False
         request = AhbRequest(
@@ -170,7 +175,7 @@ class AhbMaster(ProtocolMaster):
 
     def collect_responses(self, cycle: int) -> List[int]:
         completed: List[int] = []
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         while channel._committed:
             response: AhbResponse = channel.pop()
             if response.hresp is HResp.ERROR:

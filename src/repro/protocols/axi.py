@@ -51,8 +51,14 @@ def axburst_for(burst: BurstType) -> AxBurst:
     raise ProtocolError(f"AXI cannot express burst {burst.value}")
 
 
+#: Status <-> XRESP by member, built once (a name lookup per response
+#: would round-trip through the enum's value).
+_XRESP_OF_STATUS = {status: XResp[status.value] for status in ResponseStatus}
+_STATUS_OF_XRESP = {xresp: ResponseStatus[xresp.value] for xresp in XResp}
+
+
 def xresp_from_status(status: ResponseStatus) -> XResp:
-    return XResp[status.value]
+    return _XRESP_OF_STATUS[status]
 
 
 @dataclass
@@ -140,8 +146,17 @@ class AxiMaster(ProtocolMaster):
             response_channels=["r", "b"],
             depth=depth,
         )
+        self._ar = self.socket.req("ar")
+        self._aw = self.socket.req("aw")
+        self._r = self.socket.rsp("r")
+        self._b = self.socket.rsp("b")
         self._reads_inflight = 0
         self._writes_inflight = 0
+
+    def budget_full(self, txn: Transaction) -> bool:
+        if txn.opcode.is_read:
+            return self._reads_inflight >= self.max_outstanding_reads
+        return self._writes_inflight >= self.max_outstanding_writes
 
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
         if txn.opcode.is_locking:
@@ -156,9 +171,9 @@ class AxiMaster(ProtocolMaster):
         txn.thread = 0 if txn.opcode.is_read else 1
         lock = AxLock.EXCLUSIVE if txn.excl else AxLock.NORMAL
         if txn.opcode.is_read:
-            if self._reads_inflight >= self.max_outstanding_reads:
+            if self.budget_full(txn):
                 return False
-            channel = self.socket.req("ar")
+            channel = self._ar
             if not channel.can_push():
                 return False
             channel.push(
@@ -180,9 +195,9 @@ class AxiMaster(ProtocolMaster):
                 f"{self.name}: AXI writes always get a B response; "
                 f"posted stores are an OCP/proprietary feature"
             )
-        if self._writes_inflight >= self.max_outstanding_writes:
+        if self.budget_full(txn):
             return False
-        channel = self.socket.req("aw")
+        channel = self._aw
         if not channel.can_push():
             return False
         channel.push(
@@ -203,21 +218,21 @@ class AxiMaster(ProtocolMaster):
 
     def collect_responses(self, cycle: int) -> List[int]:
         completed: List[int] = []
-        r_channel = self.socket.rsp("r")
+        r_channel = self._r
         while r_channel._committed:
             r: AxiR = r_channel.pop()
             self._reads_inflight -= 1
             txn = self.inflight_txn(r.txn_id)
-            status = ResponseStatus[r.rresp.value]
+            status = _STATUS_OF_XRESP[r.rresp]
             self.note_status(r.txn_id, status, excl=txn.excl)
             self.completion_status[r.txn_id] = status
             completed.append(r.txn_id)
-        b_channel = self.socket.rsp("b")
+        b_channel = self._b
         while b_channel._committed:
             b: AxiB = b_channel.pop()
             self._writes_inflight -= 1
             txn = self.inflight_txn(b.txn_id)
-            status = ResponseStatus[b.bresp.value]
+            status = _STATUS_OF_XRESP[b.bresp]
             self.note_status(b.txn_id, status, excl=txn.excl)
             self.completion_status[b.txn_id] = status
             completed.append(b.txn_id)

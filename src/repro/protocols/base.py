@@ -16,7 +16,7 @@ ordering model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.ordering import OrderingChecker, OrderingModel
 from repro.core.transaction import ResponseStatus, Transaction
@@ -126,6 +126,10 @@ class ProtocolMaster(Component, Snapshottable):
 
     - :meth:`try_issue` — if the pending intent can legally enter the
       socket this cycle, push the protocol records and return True;
+    - :meth:`budget_full` — whether the master's own outstanding budget
+      (not socket space) refuses an intent; ``try_issue`` must refuse
+      whenever it is true, and only a response collected by
+      :meth:`collect_responses` may make it false again;
     - :meth:`collect_responses` — pop whatever response channels have and
       return the ``txn_id`` of every intent that completed this cycle.
     """
@@ -154,6 +158,9 @@ class ProtocolMaster(Component, Snapshottable):
         # lookahead pending; the strict kernel never sets it.
         self._armed_at = -1
         self._latency_stat = None  # resolved at bind()
+        # Response channels, resolved at bind() (None: no socket, so
+        # next_event_cycle cannot prove anything and never skips).
+        self._response_queues: Optional[Tuple[SimQueue, ...]] = None
         #: Native status translated to the transaction-layer vocabulary,
         #: recorded by subclasses before returning from collect_responses.
         self.completion_status: Dict[int, ResponseStatus] = {}
@@ -197,6 +204,11 @@ class ProtocolMaster(Component, Snapshottable):
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
         raise NotImplementedError
 
+    def budget_full(self, txn: Transaction) -> bool:
+        """Pure predicate: the master's own outstanding budget refuses
+        ``txn``.  The default (never full) keeps a refused master hot."""
+        return False
+
     def collect_responses(self, cycle: int) -> List[int]:
         raise NotImplementedError
 
@@ -220,7 +232,8 @@ class ProtocolMaster(Component, Snapshottable):
         super().bind(simulator)
         socket = getattr(self, "socket", None)
         if socket is not None:
-            for queue in socket.response_channels.values():
+            self._response_queues = tuple(socket.response_channels.values())
+            for queue in self._response_queues:
                 queue.wake_on_push(self)
         # Sources that couple masters to each other (DMA engines waiting
         # on stream-channel tokens, see repro.workloads) need a handle to
@@ -245,15 +258,24 @@ class ProtocolMaster(Component, Snapshottable):
         return False
 
     def next_event_cycle(self, now: int):
-        if self._pending is not None:
-            return now  # retrying try_issue against socket backpressure
-        socket = getattr(self, "socket", None)
-        if socket is None:
+        queues = self._response_queues
+        if queues is None:
             return now  # unknown subclass wiring: never skip
-        for queue in socket.response_channels.values():
+        for queue in queues:
             if queue._committed:
                 return now  # responses waiting to be collected
         if self._has_local_completions():
+            return now
+        pending = self._pending
+        if pending is not None:
+            if self.budget_full(pending):
+                # Refused by our own outstanding budget, which only a
+                # collected response frees — and the response-channel
+                # push wake registered in bind() lands exactly when a
+                # response becomes visible.
+                return None
+            # Refused by socket space: stay hot (a pop frees the slot in
+            # the same cycle, see Component.next_event_cycle).
             return now
         armed_at = self._armed_at
         if armed_at >= 0:

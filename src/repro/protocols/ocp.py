@@ -114,6 +114,8 @@ class OcpMaster(ProtocolMaster):
             response_channels=["rsp"],
             depth=depth,
         )
+        self._req = self.socket.req("req")
+        self._rsp = self.socket.rsp("rsp")
         self._thread_inflight: Dict[int, int] = {t: 0 for t in range(threads)}
         self._posted_complete: List[int] = []
         self.posted_count = 0
@@ -134,11 +136,15 @@ class OcpMaster(ProtocolMaster):
             return MCmd.WR if self.posted_writes else MCmd.WRNP
         raise ProtocolError(f"{self.name}: cannot map {txn.opcode.value} to OCP")
 
-    def try_issue(self, txn: Transaction, cycle: int) -> bool:
+    def budget_full(self, txn: Transaction) -> bool:
         thread = txn.thread % self.threads
-        if self._thread_inflight[thread] >= self.per_thread_outstanding:
+        return self._thread_inflight[thread] >= self.per_thread_outstanding
+
+    def try_issue(self, txn: Transaction, cycle: int) -> bool:
+        if self.budget_full(txn):
             return False
-        channel = self.socket.req("req")
+        thread = txn.thread % self.threads
+        channel = self._req
         if not channel.can_push():
             return False
         mcmd = self._mcmd_for(txn)
@@ -169,7 +175,7 @@ class OcpMaster(ProtocolMaster):
     def collect_responses(self, cycle: int) -> List[int]:
         completed: List[int] = list(self._posted_complete)
         self._posted_complete.clear()
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         while channel._committed:
             response: OcpResponse = channel.pop()
             self._thread_inflight[response.sthreadid] -= 1

@@ -86,6 +86,8 @@ class MsgMaster(ProtocolMaster):
             response_channels=["ack"],
             depth=depth,
         )
+        self._msg = self.socket.req("msg")
+        self._ack = self.socket.rsp("ack")
         self._posted_complete: List[int] = []
         self.fences_issued = 0
 
@@ -103,10 +105,13 @@ class MsgMaster(ProtocolMaster):
             return MsgKind.PUT
         return MsgKind.PUT_ACK
 
+    def budget_full(self, txn: Transaction) -> bool:
+        return len(self._inflight) >= self.max_outstanding
+
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
-        if self.outstanding >= self.max_outstanding:
+        if self.budget_full(txn):
             return False
-        channel = self.socket.req("msg")
+        channel = self._msg
         if not channel.can_push():
             return False
         kind = self._kind_for(txn)
@@ -132,7 +137,7 @@ class MsgMaster(ProtocolMaster):
     def collect_responses(self, cycle: int) -> List[int]:
         completed: List[int] = list(self._posted_complete)
         self._posted_complete.clear()
-        channel = self.socket.rsp("ack")
+        channel = self._ack
         while channel._committed:
             response: MsgResponse = channel.pop()
             if not response.ok:

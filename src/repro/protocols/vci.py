@@ -84,6 +84,8 @@ class _VciMasterBase(ProtocolMaster):
             response_channels=["rsp"],
             depth=depth,
         )
+        self._cmd = self.socket.req("cmd")
+        self._rsp = self.socket.rsp("rsp")
 
     def _cmd_for(self, txn: Transaction) -> VciCmd:
         if txn.excl:
@@ -107,10 +109,13 @@ class _VciMasterBase(ProtocolMaster):
             f"{self.name}: cannot map {txn.opcode.value} to {self.flavor}"
         )
 
+    def budget_full(self, txn: Transaction) -> bool:
+        return len(self._inflight) >= self.max_outstanding
+
     def try_issue(self, txn: Transaction, cycle: int) -> bool:
-        if self.outstanding >= self.max_outstanding:
+        if self.budget_full(txn):
             return False
-        channel = self.socket.req("cmd")
+        channel = self._cmd
         if not channel.can_push():
             return False
         if txn.opcode is Opcode.STORE_POSTED:
@@ -133,7 +138,7 @@ class _VciMasterBase(ProtocolMaster):
 
     def collect_responses(self, cycle: int) -> List[int]:
         completed: List[int] = []
-        channel = self.socket.rsp("rsp")
+        channel = self._rsp
         while channel._committed:
             response: VciResponse = channel.pop()
             if response.rerror is VciRerror.GENERAL_ERROR:

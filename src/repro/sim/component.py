@@ -165,9 +165,17 @@ class Component:
         component use that slot immediately — whereas a pop-registered
         :meth:`wake` only re-arms the component on the *next* cycle,
         shifting its action one cycle late relative to strict.  ``None``
-        is only safe when the component is truly empty of work, because
-        push visibility is commit-delayed and push-wakes therefore land
-        exactly when the new work becomes observable.
+        is only safe when every event that could unblock the component is
+        a push it is wake-registered on, because push visibility is
+        commit-delayed and push-wakes therefore land exactly when the new
+        work becomes observable.
+
+        Corollary: work blocked on downstream *space* stays hot, but work
+        waiting on a commit-visible push may sleep even while it is held.
+        A master refused by its own outstanding budget holds an intent,
+        yet only a response (a push on a wake-registered channel) can
+        free the budget, so it returns ``None`` (see
+        :meth:`repro.protocols.base.ProtocolMaster.next_event_cycle`).
         """
         return now
 

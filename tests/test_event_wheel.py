@@ -12,9 +12,13 @@ fast path against its slow-path reference on full SoCs.
 
 import pytest
 
+from repro.ip.masters import random_workload
 from repro.sim.component import Component
+from repro.sim.fingerprint import fingerprint_soc, reset_ids
 from repro.sim.kernel import PARK_HORIZON, Simulator, TimingWheel
+from repro.sim.trace import Tracer
 from repro.phys.clocking import ClockDomain
+from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
 
 from test_kernel_determinism import _fresh_global_ids  # noqa: F401
 from test_kernel_determinism import (
@@ -344,3 +348,67 @@ class TestBodyFlitFastPath:
             for r in plane.routers.values()
         ]
         assert routers and all(r.stream_fast_path for r in routers)
+
+
+def _budget_blocked_soc(strict, protocol, protocol_kwargs):
+    """One master that always has an intent ready, against a slow target
+    that serves one access at a time: the master spends most cycles
+    refused by its own outstanding budget of one."""
+    reset_ids()
+    builder = SocBuilder(trace=Tracer(enabled=True), strict_kernel=strict)
+    builder.add_initiator(
+        InitiatorSpec(
+            "m", protocol,
+            random_workload("m", [(0, 0x1000)], count=10_000, seed=5,
+                            rate=1.0, burst_beats=(1, 4)),
+            protocol_kwargs=protocol_kwargs,
+        )
+    )
+    builder.add_target(
+        TargetSpec("slow", size=0x1000, read_latency=30, write_latency=20,
+                   max_outstanding=1)
+    )
+    return builder.build()
+
+
+class TestBudgetBlockedMastersSleep:
+    """A master refused by its own outstanding budget can only be freed
+    by a response, whose channel push wakes it exactly when the strict
+    kernel would see it — so it must sleep instead of retrying every
+    cycle, and the run must stay byte-identical to strict."""
+
+    CYCLES = 3000
+
+    @pytest.mark.parametrize(
+        "protocol, protocol_kwargs",
+        [
+            ("AXI", {"max_outstanding_reads": 1,
+                     "max_outstanding_writes": 1}),
+            ("AHB", {}),
+            ("OCP", {"threads": 1, "per_thread_outstanding": 1,
+                     "posted_writes": False}),
+            ("BVCI", {"max_outstanding": 1}),
+        ],
+        ids=["axi", "ahb", "ocp", "bvci"],
+    )
+    def test_blocked_master_stops_ticking(self, protocol, protocol_kwargs):
+        prints = {}
+        for strict in (True, False):
+            soc = _budget_blocked_soc(strict, protocol, protocol_kwargs)
+            master = soc.masters["m"]
+            ticks = [0]
+            tick = master.tick
+
+            def counted(cycle, tick=tick, ticks=ticks):
+                ticks[0] += 1
+                tick(cycle)
+
+            master.tick = counted
+            soc.run(self.CYCLES)
+            prints[strict] = fingerprint_soc(soc)
+            if strict:
+                assert ticks[0] == self.CYCLES
+            else:
+                assert master.completed > 20
+                assert ticks[0] < self.CYCLES // 4
+        assert prints[True] == prints[False]

@@ -1,5 +1,7 @@
 """Unit + property tests for the NIU state lookup table."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -145,3 +147,97 @@ def test_property_delivery_respects_stream_order(streams, order_seed):
         per_stream.setdefault(e.stream, []).append(e.stream_seq)
     for seqs in per_stream.values():
         assert seqs == sorted(seqs)
+
+
+# -- incremental indexes vs a brute-force scan ---------------------------- #
+# The reference implementations below are the original full-table scans,
+# kept as the oracle for the indexes StateTable maintains incrementally.
+
+TAGS = SLVS = range(3)
+STREAMS = [(), (0,), (1,)]
+
+
+def scan_match(entries, tag, slv):
+    candidates = [
+        e for e in entries
+        if e.tag == tag and e.slv_addr == slv and not e.responded
+    ]
+    return min(candidates, key=lambda e: e.seq) if candidates else None
+
+
+def scan_deliverable(entries):
+    oldest = {}
+    for entry in entries:
+        best = oldest.get(entry.stream)
+        if best is None or entry.stream_seq < best.stream_seq:
+            oldest[entry.stream] = entry
+    return sorted(
+        (e for e in oldest.values() if e.responded), key=lambda e: e.seq
+    )
+
+
+def scan_targets(entries, stream):
+    return sorted(
+        {e.slv_addr for e in entries if e.stream == stream and not e.responded}
+    )
+
+
+def assert_matches_scan(table):
+    entries = table.entries()
+    for tag in TAGS:
+        for slv in SLVS:
+            expected = scan_match(entries, tag, slv)
+            if expected is None:
+                with pytest.raises(KeyError):
+                    table.match_response(tag, slv)
+            else:
+                assert table.match_response(tag, slv) is expected
+    assert table.deliverable() == scan_deliverable(entries)
+    assert [e.txn_id for e in table.deliverable()] == [
+        e.txn_id for e in scan_deliverable(entries)
+    ]
+    for stream in STREAMS:
+        assert table.outstanding_targets(stream) == scan_targets(
+            entries, stream
+        )
+        in_stream = [e for e in entries if e.stream == stream]
+        assert table.stream_population(stream) == len(in_stream)
+        oldest = min(in_stream, key=lambda e: e.stream_seq, default=None)
+        assert table.oldest_open(stream) is oldest
+    assert table.has_responded == any(e.responded for e in entries)
+
+
+@given(data=st.data())
+def test_property_indexes_match_full_scan(data):
+    """Random allocate / mark_responded / release / snapshot-restore
+    sequences: every indexed query equals the brute-force scan of
+    ``entries()`` after every step."""
+    capacity = data.draw(st.integers(min_value=1, max_value=6))
+    table = StateTable("t", capacity=capacity)
+    ops = data.draw(st.lists(
+        st.sampled_from(["allocate", "respond", "release", "restore"]),
+        max_size=40,
+    ))
+    for op in ops:
+        entries = table.entries()
+        if op == "allocate" and table.can_allocate():
+            alloc(
+                table,
+                stream=data.draw(st.sampled_from(STREAMS)),
+                tag=data.draw(st.sampled_from(TAGS)),
+                slv=data.draw(st.sampled_from(SLVS)),
+            )
+        elif op == "respond":
+            open_entries = [e for e in entries if not e.responded]
+            if open_entries:
+                entry = data.draw(st.sampled_from(open_entries))
+                table.mark_responded(entry.txn_id, ResponseStatus.OKAY, None)
+        elif op == "release" and entries:
+            table.release(data.draw(st.sampled_from(entries)).txn_id)
+        elif op == "restore":
+            # The checkpoint path: one deepcopy of the snapshot tree,
+            # restored into a fresh table of the same shape.
+            restored = StateTable("t", capacity=capacity)
+            restored.restore(copy.deepcopy(table.snapshot()))
+            table = restored
+        assert_matches_scan(table)

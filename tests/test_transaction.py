@@ -1,9 +1,14 @@
 """Unit + property tests for transaction primitives."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core.transaction as txn_mod
+import repro.transport.flit as flit_mod
 from repro.core.transaction import (
     BurstType,
     Opcode,
@@ -14,6 +19,10 @@ from repro.core.transaction import (
     make_write,
     split_burst,
 )
+from repro.ip.masters import random_workload
+from repro.sim.snapshot import SerialCounter
+from repro.soc import InitiatorSpec, SocBuilder, TargetSpec
+from repro.sweep import Checkpoint
 
 
 class TestOpcode:
@@ -184,3 +193,85 @@ class TestSplitBurst:
         reassembled = [v for __, data in chunks for v in data]
         assert reassembled == list(range(beats))
         assert all(len(d) <= max_beats for __, d in chunks)
+
+
+#: The documented flag sets, spelled out member by member:
+#: (is_write, is_read, expects_response, is_locking).
+OPCODE_FLAGS = {
+    Opcode.LOAD: (False, True, True, False),
+    Opcode.STORE: (True, False, True, False),
+    Opcode.STORE_POSTED: (True, False, False, False),
+    Opcode.READEX: (False, True, True, True),
+    Opcode.STORE_COND_LOCKED: (True, False, True, True),
+    Opcode.LOCK: (False, False, True, True),
+    Opcode.UNLOCK: (False, False, True, True),
+}
+STATUS_IS_ERROR = {
+    ResponseStatus.OKAY: False,
+    ResponseStatus.EXOKAY: False,
+    ResponseStatus.SLVERR: True,
+    ResponseStatus.DECERR: True,
+}
+
+
+def _flags(member):
+    if isinstance(member, Opcode):
+        return (member.is_write, member.is_read, member.expects_response,
+                member.is_locking)
+    return member.is_error
+
+
+def _checkpoint_roundtrip(member, monkeypatch):
+    """Carry ``member`` through a real checkpoint: deepcopy on capture,
+    pickle to bytes and back, deepcopy again on restore into a fresh
+    build.  Returns the member as the restored SoC holds it."""
+    # Checkpoints capture the global id streams; give this test its own.
+    monkeypatch.setattr(txn_mod, "_txn_ids", SerialCounter())
+    monkeypatch.setattr(flit_mod, "_flit_packet_ids", SerialCounter())
+
+    def build():
+        builder = SocBuilder()
+        builder.add_initiator(InitiatorSpec(
+            "m", "AXI", random_workload("m", [(0, 0x1000)], count=5, seed=1)))
+        builder.add_target(TargetSpec("mem", size=0x1000))
+        return builder.build()
+
+    soc = build()
+    soc.run(10)
+    master = soc.masters["m"]
+    if isinstance(member, Opcode):
+        data = [0] if member.is_write else None
+        master._pending = Transaction(opcode=member, address=0, data=data)
+    else:
+        master.completion_status[-1] = member
+    checkpoint = Checkpoint.from_bytes(Checkpoint.capture(soc).to_bytes())
+    fresh = build()
+    checkpoint.restore_into(fresh)
+    restored = fresh.masters["m"]
+    if isinstance(member, Opcode):
+        return restored._pending.opcode
+    return restored.completion_status[-1]
+
+
+@pytest.mark.parametrize(
+    "member",
+    list(OPCODE_FLAGS) + list(STATUS_IS_ERROR),
+    ids=lambda member: f"{type(member).__name__}.{member.name}",
+)
+def test_enum_flags_are_pinned_and_survive_copies(member, monkeypatch):
+    """Flags are plain attributes set on each member at import; they must
+    match the documented sets and survive every way the simulator copies
+    state: pickle, deepcopy and a checkpoint round trip."""
+    expected = OPCODE_FLAGS.get(member, STATUS_IS_ERROR.get(member))
+    assert set(OPCODE_FLAGS) == set(Opcode)
+    assert set(STATUS_IS_ERROR) == set(ResponseStatus)
+    assert _flags(member) == expected
+    copies = [
+        pickle.loads(pickle.dumps(member, protocol=protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    copies += [copy.copy(member), copy.deepcopy(member)]
+    copies.append(_checkpoint_roundtrip(member, monkeypatch))
+    for duplicate in copies:
+        assert duplicate is member
+        assert _flags(duplicate) == expected
