@@ -23,17 +23,17 @@ on the kernel's per-cycle *dirty list* at first push, so the kernel
 commits only queues that actually staged something instead of iterating
 every queue every cycle.
 
-Core contract
--------------
-The router hot core (:mod:`repro.transport.router_core`) inlines
-:meth:`SimQueue.pop` and :meth:`SimQueue.push` on its transfer path.
-That inlining relies on invariants that are therefore part of this
-class's contract: ``_committed`` is a deque that is never rebound
-(cached references stay valid), ``_occ`` is committed + staged,
-``pop`` = counter/occupancy update + ``popleft`` + pop-waiter wakes,
-``push`` = capacity check (exact :class:`OverflowError` message) +
-stage + counters + first-push dirty-list registration.  Change any of
-these in both places, and keep the fields in ``__slots__``.
+Router contract
+---------------
+:class:`~repro.transport.router.Router` reads two fields directly on its
+arbitration path instead of calling methods: it tests and indexes
+``_committed`` for an input's head flit, and compares ``_occ`` with
+``capacity`` for room downstream (other components' idle checks test
+``_committed`` the same way).  Those reads rely on invariants that
+are therefore part of this class's contract: ``_committed`` is the deque
+of consumer-visible items in FIFO order, and ``_occ`` is committed +
+staged.  Change them together with ``transport/router.py``, and keep
+the fields in ``__slots__``.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ class SimQueue(WakeHooks, Snapshottable):
     )
 
     def _restore_state(self, state) -> None:
-        # _committed is restored in place by the base hook (never rebound
-        # — the dense router core caches the deque).  Derived occupancy
+        # _committed is restored in place by the base hook (never
+        # rebound).  Derived occupancy
         # is recomputed; dirty-list membership is the kernel's to rebuild
         # (Simulator._restore_state), since an unregistered queue has no
         # dirty list to join.
