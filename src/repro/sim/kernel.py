@@ -553,6 +553,10 @@ class Simulator(Snapshottable):
         self.cycles_skipped = state["cycles_skipped"]
         self._finished = state["finished"]
         self._quiet_step = state["quiet_step"]
+        # Queues before components: a component may derive state from
+        # its queues' contents on restore (a router's occupancy mask).
+        for name, envelope in saved_queues.items():
+            self._queue_names[name].restore(envelope)
         scheduled: List[Component] = []
         for name, entry in saved_components.items():
             component = by_name[name]
@@ -572,8 +576,6 @@ class Simulator(Snapshottable):
         scheduled.sort(key=_sched_key)
         self._run_list = scheduled
         self._wakes = []
-        for name, envelope in saved_queues.items():
-            self._queue_names[name].restore(envelope)
         self._dirty_queues = [self._queue_names[n] for n in state["dirty_queues"]]
         wheel = self._wheel
         wheel._buckets.clear()

@@ -25,15 +25,30 @@ every queue every cycle.
 
 Router contract
 ---------------
-:class:`~repro.transport.router.Router` reads two fields directly on its
-arbitration path instead of calling methods: it tests and indexes
-``_committed`` for an input's head flit, and compares ``_occ`` with
-``capacity`` for room downstream (other components' idle checks test
-``_committed`` the same way).  Those reads rely on invariants that
-are therefore part of this class's contract: ``_committed`` is the deque
-of consumer-visible items in FIFO order, and ``_occ`` is committed +
-staged.  Change them together with ``transport/router.py``, and keep
-the fields in ``__slots__``.
+:class:`~repro.transport.router.Router` leans on this class in three
+ways, which are therefore part of its contract:
+
+- **Direct field reads.**  On its arbitration path the router tests and
+  indexes ``_committed`` for an input's head flit, and compares ``_occ``
+  with ``capacity`` for room downstream (other components' idle checks
+  test ``_committed`` the same way).  ``_committed`` is the deque of
+  consumer-visible items in FIFO order, and ``_occ`` is committed +
+  staged; keep both in ``__slots__``.
+- **The hop.**  A flit moves from an input buffer to an output with one
+  :meth:`move_head_to` call, which performs exactly the bookkeeping of
+  ``target.push(self.pop())``.  The queue contract lives here, not in
+  the router.
+- **Occupancy push-waiters.**  The router tracks which inputs hold
+  committed items with a bitmask instead of scanning them every tick.
+  Each input has a small push-waiter whose ``wake()`` sets the input's
+  bit (and wakes the router) when :meth:`commit` makes items visible;
+  the router clears the bit itself when its own hop empties the input.
+  A pop from outside the router (:meth:`drain` in a test) leaves a
+  stale bit set on an empty queue; the router tolerates that by
+  dropping bits whose ``_committed`` is empty before it acts on them.
+  A set bit therefore means "maybe occupied", a clear bit "empty".
+
+Change these together with ``transport/router.py``.
 """
 
 from __future__ import annotations
@@ -136,11 +151,7 @@ class SimQueue(WakeHooks, Snapshottable):
         """Stage ``item``; it becomes visible after the next commit."""
         capacity = self.capacity
         if capacity is not None and self._occ >= capacity:
-            raise OverflowError(
-                f"queue {self.name!r} is full "
-                f"({len(self._committed)} committed + {len(self._staged)} staged"
-                f" / capacity {self.capacity})"
-            )
+            raise self._full()
         self._staged.append(item)
         self._occ += 1
         self.total_pushed += 1
@@ -149,6 +160,13 @@ class SimQueue(WakeHooks, Snapshottable):
             kernel = self._kernel
             if kernel is not None:
                 kernel._dirty_queues.append(self)
+
+    def _full(self) -> OverflowError:
+        return OverflowError(
+            f"queue {self.name!r} is full "
+            f"({len(self._committed)} committed + {len(self._staged)} staged"
+            f" / capacity {self.capacity})"
+        )
 
     # ------------------------------------------------------------------ #
     # consumer side
@@ -182,6 +200,35 @@ class SimQueue(WakeHooks, Snapshottable):
         item = self._committed.popleft()
         for waiter in self._pop_waiters:
             waiter.wake()
+        return item
+
+    def move_head_to(self, target: "SimQueue") -> Any:
+        """Pop the oldest committed item and stage it into ``target``.
+
+        Exactly ``target.push(self.pop())`` — the same counters, capacity
+        check, dirty-list entry and pop-waiter wakes — in one call, with
+        both checks made before anything moves.  This is a router's flit
+        hop from an input buffer to an output queue.
+        """
+        committed = self._committed
+        if not committed:
+            raise IndexError(f"queue {self.name!r} is empty")
+        capacity = target.capacity
+        if capacity is not None and target._occ >= capacity:
+            raise target._full()
+        item = committed.popleft()
+        self.total_popped += 1
+        self._occ -= 1
+        for waiter in self._pop_waiters:
+            waiter.wake()
+        target._staged.append(item)
+        target._occ += 1
+        target.total_pushed += 1
+        if not target._dirty:
+            target._dirty = True
+            kernel = target._kernel
+            if kernel is not None:
+                kernel._dirty_queues.append(target)
         return item
 
     # ------------------------------------------------------------------ #

@@ -153,15 +153,16 @@ class Reassembler(Snapshottable):
 
     def accept(self, flit: Flit) -> Optional[NocPacket]:
         """Feed one flit; returns a completed packet on tail, else None."""
+        seq = flit.seq
         if self._current is None:
-            if not flit.is_head:
+            if seq != 0:
                 raise ReassemblyError(
                     f"{self.name}: body flit {flit!r} without a head"
                 )
             self._current = flit
             self._received = 1
         else:
-            if flit.is_head:
+            if seq == 0:
                 raise ReassemblyError(
                     f"{self.name}: head flit {flit!r} while packet "
                     f"{self._current.packet_id} is incomplete"
@@ -172,7 +173,7 @@ class Reassembler(Snapshottable):
                     f"{self._current.packet_id}"
                 )
             self._received += 1
-        if flit.is_tail:
+        if seq == flit.count - 1:
             if self._received != self._current.count:
                 raise ReassemblyError(
                     f"{self.name}: packet {self._current.packet_id} closed "

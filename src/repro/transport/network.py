@@ -47,6 +47,7 @@ from repro.sim.shard import (
     ShardPlan,
 )
 from repro.sim.snapshot import Snapshottable
+from repro.sim.stats import Histogram
 from repro.transport.faults import (
     FaultConfigError,
     FaultInjector,
@@ -140,6 +141,7 @@ class InjectionPort(Component, Snapshottable):
         self.vc_policy = vc_policy if vc_policy is not None else VcPolicy()
         self._pending: List[List[Flit]] = [[] for _ in range(self.vcs)]
         self._last_vc = self.vcs - 1
+        self._rotations = _vc_rotations(self.vcs)
         self.packets_injected = 0
         self.flits_injected = 0
         packet_queue.wake_on_push(self)
@@ -197,8 +199,9 @@ class InjectionPort(Component, Snapshottable):
                 self.flit_queues[0].push(pending.pop(0))
                 self.flits_injected += 1
             return
-        if self.packet_queue:
-            vc = self.vc_policy.injection_vc(self.packet_queue.peek(), self.vcs)
+        committed = self.packet_queue._committed
+        if committed:
+            vc = self.vc_policy.injection_vc(committed[0], self.vcs)
             if not 0 <= vc < self.vcs:
                 raise ValueError(
                     f"{self.name}: VC policy chose injection VC {vc} "
@@ -210,8 +213,7 @@ class InjectionPort(Component, Snapshottable):
                 self._pending[vc] = self.packetizer.segment(packet, vc=vc)
                 self.packets_injected += 1
         # One flit per cycle onto the feed, round-robin over ready VCs.
-        for offset in range(1, self.vcs + 1):
-            vc = (self._last_vc + offset) % self.vcs
+        for vc in self._rotations[self._last_vc]:
             if self._pending[vc] and self.flit_queues[vc].can_push():
                 self.flit_queues[vc].push(self._pending[vc].pop(0))
                 self.flits_injected += 1
@@ -264,6 +266,10 @@ class EjectionPort(Component, Snapshottable):
         # histograms under "<flow_prefix>.prio<p>" and
         # "<flow_prefix>.pair.<src>-><dst>".  None disables recording.
         self._flow_prefix = flow_prefix
+        # (priority, source) -> its two flow histograms, resolved once.
+        # The registry restores histograms in place, so the cached
+        # objects stay valid across snapshot/restore.
+        self._flow_hists: Dict[Tuple[int, int], Tuple[Histogram, Histogram]] = {}
         self.flit_queues = list(flit_queues)
         self.vcs = len(self.flit_queues)
         if isinstance(packet_queues, SimQueue):
@@ -277,6 +283,7 @@ class EjectionPort(Component, Snapshottable):
             for vc in range(self.vcs)
         ]
         self._last_vc = self.vcs - 1
+        self._rotations = _vc_rotations(self.vcs)
         self.packets_ejected = 0
         self.resequence = resequence
         self._rob: Dict[int, Dict[int, NocPacket]] = {}  # src -> seq -> pkt
@@ -327,7 +334,7 @@ class EjectionPort(Component, Snapshottable):
         return self._rob_count
 
     def _queue_for(self, vc: int, flit: Flit) -> SimQueue:
-        head = self.reassemblers[vc]._current if not flit.is_head else flit
+        head = self.reassemblers[vc]._current if flit.seq else flit
         assert head is not None and head.packet is not None
         return self._packet_queues[head.packet.kind]
 
@@ -336,11 +343,17 @@ class EjectionPort(Component, Snapshottable):
         if self._flow_prefix is None or packet.injected_cycle < 0:
             return
         latency = self._simulator.cycle - packet.injected_cycle
-        stats = self._simulator.stats
-        stats.histogram(f"{self._flow_prefix}.prio{packet.priority}").add(latency)
-        stats.histogram(
-            f"{self._flow_prefix}.pair.{packet.route_source}->{self.endpoint}"
-        ).add(latency)
+        flow = (packet.priority, packet.route_source)
+        hists = self._flow_hists.get(flow)
+        if hists is None:
+            stats = self._simulator.stats
+            prefix = self._flow_prefix
+            hists = self._flow_hists[flow] = (
+                stats.histogram(f"{prefix}.prio{flow[0]}"),
+                stats.histogram(f"{prefix}.pair.{flow[1]}->{self.endpoint}"),
+            )
+        hists[0].add(latency)
+        hists[1].add(latency)
 
     def is_idle(self) -> bool:
         # Anything buffered — a committed flit or a parked reorder-buffer
@@ -389,14 +402,15 @@ class EjectionPort(Component, Snapshottable):
         # One flit per cycle; hold a tail until its packet queue has room
         # so backpressure propagates into the fabric at packet granularity
         # — per VC, so a full queue on one VC never stalls the others.
-        for offset in range(1, self.vcs + 1):
-            vc = (self._last_vc + offset) % self.vcs
+        for vc in self._rotations[self._last_vc]:
             queue = self.flit_queues[vc]
-            if not queue:
+            committed = queue._committed
+            if not committed:
                 continue
-            flit = queue.peek()
+            flit = committed[0]
+            tail = flit.seq == flit.count - 1
             if self.resequence:
-                if flit.is_tail and self._hold_tail(vc, flit):
+                if tail and self._hold_tail(vc, flit):
                     continue
                 queue.pop()
                 packet = self.reassemblers[vc].accept(flit)
@@ -405,7 +419,7 @@ class EjectionPort(Component, Snapshottable):
                 self._last_vc = vc
                 return
             out_queue = self._queue_for(vc, flit)
-            if flit.is_tail and not out_queue.can_push():
+            if tail and not out_queue.can_push():
                 continue
             queue.pop()
             packet = self.reassemblers[vc].accept(flit)
@@ -429,7 +443,7 @@ class EjectionPort(Component, Snapshottable):
         could permanently block a gap-filling packet queued behind it on
         the same ejection VC.
         """
-        head = self.reassemblers[vc]._current if not flit.is_head else flit
+        head = self.reassemblers[vc]._current if flit.seq else flit
         assert head is not None and head.packet is not None
         packet = head.packet
         src = packet.route_source
@@ -697,6 +711,8 @@ class Network(Snapshottable):
         for endpoint in topology.endpoints:
             with self._own(topology.router_of(endpoint)):
                 self._attach_endpoint(endpoint, endpoint_queue_capacity)
+        for router in self.routers.values():
+            router.finish_wiring()
 
     def _attach_endpoint(
         self, endpoint: int, endpoint_queue_capacity: int
@@ -1052,6 +1068,15 @@ class Network(Snapshottable):
         )
         ports = sum(len(r.output_busy_cycles) for r in self.routers.values())
         return busy / (cycles * ports) if ports else 0.0
+
+
+def _vc_rotations(vcs: int) -> Tuple[Tuple[int, ...], ...]:
+    """Round-robin visiting orders: entry ``last`` lists every VC once,
+    starting after ``last``."""
+    return tuple(
+        tuple((last + offset) % vcs for offset in range(1, vcs + 1))
+        for last in range(vcs)
+    )
 
 
 def _edge_sort_key(edge) -> tuple:

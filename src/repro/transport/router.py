@@ -88,6 +88,9 @@ class Router(Component, Snapshottable):
         self.lock_support = lock_support
         self.vcs = vcs
         self.vc_policy = vc_policy if vc_policy is not None else VcPolicy()
+        # Which tick flavour runs: VC allocation is needed with several
+        # VCs and for adaptive route choice (escape classes).
+        self._multi_vc = vcs > 1 or adaptive_table is not None
         # Body-flit streaming fast path: once a head holds its output VC
         # and an output is uncontested, later flits bypass candidate
         # construction and the arbiter call (the grant is still recorded
@@ -124,11 +127,23 @@ class Router(Component, Snapshottable):
         # Buffers keyed by (port, vc); vc is always 0 when vcs == 1.
         self.inputs: Dict[VcKey, SimQueue] = {}
         self.outputs: Dict[VcKey, SimQueue] = {}
-        # Hot-path port lists, presorted at wiring time so tick never
-        # calls sorted() (arbitration order is the sorted (port, vc) key).
+        # Input occupancy: bit i of _occupied is set while the i-th input
+        # wired may hold committed flits.  Each input's _InputOccupancy
+        # push-waiter sets its bit when a commit makes flits visible, and
+        # our own hops clear it when they empty the input, so tick reads
+        # the busy inputs off the mask (one cached tuple per mask value)
+        # instead of scanning every input VC.  See SimQueue's router
+        # contract for why a stale set bit is tolerated.
+        self._occupied = 0
+        self._in_slot: Dict[VcKey, Tuple[SimQueue, int]] = {}
+        self._busy_cache: Dict[int, Tuple[tuple, ...]] = {}
+        # Canonical port orders (arbitration and trace order follow the
+        # sorted (port, vc) key), derived once by finish_wiring().
+        self._wired = False
         self._sorted_inputs: List[tuple] = []
-        self._sorted_outputs: List[tuple] = []
         self._physical_outputs: List[str] = []
+        self._out_rank: Dict[VcKey, int] = {}
+        self._phys_rank: Dict[str, int] = {}
         # per-input-VC state
         self._input_alloc: Dict[VcKey, Optional[VcKey]] = {}
         self._input_head: Dict[VcKey, Optional[Flit]] = {}
@@ -207,7 +222,9 @@ class Router(Component, Snapshottable):
             raise ValueError(f"{self.name}: duplicate input port {key!r}")
         if not 0 <= vc < self.vcs:
             raise ValueError(f"{self.name}: input VC {vc} outside 0..{self.vcs - 1}")
+        bit = 1 << len(self.inputs)
         self.inputs[key] = queue
+        self._in_slot[key] = (queue, bit)
         self._input_alloc[key] = None
         self._input_head[key] = None
         self._input_age[key] = 0
@@ -219,10 +236,8 @@ class Router(Component, Snapshottable):
         self._port_keys[key] = (
             self._port_order(port, neighbor if order is None else order), vc
         )
-        self._sorted_inputs = sorted(
-            self.inputs.items(), key=lambda item: self._port_keys[item[0]]
-        )
-        queue.wake_on_push(self)
+        self._wired = False
+        queue.wake_on_push(_InputOccupancy(self, bit))
         return queue
 
     def add_output(
@@ -247,15 +262,35 @@ class Router(Component, Snapshottable):
             self.output_busy_cycles[port] = 0
             self.lock_stalls_by_output[port] = 0
             self._phys_out_keys[port] = port_order
-            self._physical_outputs = sorted(
-                self._output_lock, key=self._phys_out_keys.__getitem__
-            )
         self._port_keys[key] = (port_order, vc)
-        self._sorted_outputs = sorted(
-            self.outputs.items(), key=lambda item: self._port_keys[item[0]]
-        )
+        self._wired = False
         queue.wake_on_pop(self)
         return queue
+
+    def finish_wiring(self) -> None:
+        """Derive the canonical port orders from the wired ports.
+
+        :class:`~repro.transport.network.Network` calls this once per
+        router after its last ``add_input``/``add_output``, so wiring
+        stays linear in the number of ports; a router wired by hand
+        derives them at its first busy tick instead.
+        """
+        port_keys = self._port_keys
+        self._sorted_inputs = sorted(
+            self.inputs.items(), key=lambda item: port_keys[item[0]]
+        )
+        self._physical_outputs = sorted(
+            self._output_lock, key=self._phys_out_keys.__getitem__
+        )
+        self._out_rank = {
+            okey: rank
+            for rank, okey in enumerate(sorted(self.outputs, key=port_keys.__getitem__))
+        }
+        self._phys_rank = {
+            port: rank for rank, port in enumerate(self._physical_outputs)
+        }
+        self._busy_cache.clear()
+        self._wired = True
 
     def apply_fault_state(
         self,
@@ -463,41 +498,77 @@ class Router(Component, Snapshottable):
         queue empties), owned outputs cannot progress without flits, and
         lock state only changes when a tail flit passes — so an
         all-inputs-empty router can sleep until a link queue wakes it.
+        (A stale occupancy bit only costs one extra tick, which drops
+        it.)
         """
-        for _key, queue in self._sorted_inputs:
+        return not self._occupied
+
+    def _scan_occupancy(self) -> int:
+        """Occupancy mask from a full scan of the inputs' committed flits."""
+        occupied = 0
+        for queue, bit in self._in_slot.values():
             if queue._committed:
-                return False
-        return True
+                occupied |= bit
+        return occupied
+
+    def _busy_for(self, occupied: int) -> Tuple[tuple, ...]:
+        """The (input VC, queue) pairs of ``occupied`` in canonical order,
+        cached per mask value."""
+        if not self._wired:
+            self.finish_wiring()
+        in_slot = self._in_slot
+        busy = tuple(
+            item for item in self._sorted_inputs
+            if occupied & in_slot[item[0]][1]
+        )
+        self._busy_cache[occupied] = busy
+        return busy
 
     def tick(self, cycle: int) -> None:
-        # Single busy scan shared by both switch flavours: collects the
-        # input VCs holding flits (quiescent routers return on the empty
-        # list — see is_idle for why that is exact).
-        busy: List[tuple] = [
-            item for item in self._sorted_inputs if item[1]._committed
-        ]
-        if not busy:
+        # The busy inputs come off the occupancy mask, shared by both
+        # switch flavours (quiescent routers return on the empty mask —
+        # see is_idle for why that is exact).
+        occupied = self._occupied
+        if not occupied:
             return
-        if self.vcs > 1 or self.adaptive_table is not None:
+        busy = self._busy_cache.get(occupied)
+        if busy is None:
+            busy = self._busy_for(occupied)
+        for item in busy:
+            if not item[1]._committed:
+                # Stale bit: an input was emptied by a pop from outside
+                # the router (SimQueue.drain).  Rescan; the busy set is
+                # then exactly what a full scan of the inputs gives.
+                occupied = self._occupied = self._scan_occupancy()
+                if not occupied:
+                    return
+                busy = self._busy_cache.get(occupied) or self._busy_for(
+                    occupied
+                )
+                break
+        if self._multi_vc:
             self._tick_vc(cycle, busy)
             return
         input_alloc = self._input_alloc
         input_age = self._input_age
-        inputs = self.inputs
         outputs = self.outputs
         mode = self.mode
         wormhole = mode is SwitchingMode.WORMHOLE
+        output_owner = self._output_owner
         # Phase A: route heads with no allocation yet.  Streaming inputs
         # (mid-packet, output owned) need no per-cycle routing or desire
         # bookkeeping at all — Phase B continues them straight off the
         # owner table, which is the single-VC body-flit fast path.
+        streams: List[VcKey] = []  # owned outputs whose owner holds a flit
         heads: Dict[VcKey, Flit] = {}
-        wants: Dict[VcKey, List[VcKey]] = {}  # output -> ready head inputs
+        wants: Dict[VcKey, List[VcKey]] = {}  # free output -> ready heads
         fault_degraded = self._fault_degraded
         dead_ports = self._dead_ports
         fault_blocked = False
         for ivc, queue in busy:
-            if input_alloc[ivc] is not None:
+            alloc = input_alloc[ivc]
+            if alloc is not None:
+                streams.append(alloc)
                 continue
             flit = queue._committed[0]
             if flit.seq != 0:
@@ -509,6 +580,11 @@ class Router(Component, Snapshottable):
             if fault_degraded and okey[0] in dead_ports:
                 fault_blocked = True
                 continue  # downed output: the head waits for a heal
+            if output_owner[okey] is not None:
+                # Another input's packet holds the output; only its own
+                # tail can free it, and that output is served before any
+                # head could be granted it, so this head cannot move now.
+                continue
             if wormhole:
                 # Wormhole heads depart whenever downstream has a slot —
                 # no need to count buffered flits of the front packet.
@@ -526,29 +602,42 @@ class Router(Component, Snapshottable):
                 else:
                     wants[okey] = [ivc]
 
-        # Phase B: per-output arbitration and transfer.
-        output_owner = self._output_owner
+        # Phase B: per-output arbitration and transfer, visiting only the
+        # outputs with work — streams and free outputs with ready heads,
+        # disjoint by construction — in canonical order (trace events
+        # and lock state follow it).  Each input feeds at most one output,
+        # so an output's inputs look the same at its turn as they did in
+        # Phase A.
         output_lock = self._output_lock
         lock_support = self.lock_support
         arbiter = self.arbiter
         sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
         sent_inputs: List[VcKey] = []
         lock_stalled_any = False
-        for okey, out_queue in self._sorted_outputs:
+        if streams:
+            if wants:
+                streams.extend(wants)
+            work = streams
+        else:
+            work = wants
+        if len(work) > 1:
+            work = sorted(work, key=self._out_rank.__getitem__)
+        for okey in work:
+            out_queue = outputs[okey]
             owner = output_owner[okey]
             if owner is not None:
                 # Continue the in-flight packet (even on a downed output:
                 # a packet that already won the port drains across the
                 # cut, like phits in flight — only new grants are masked).
                 # Nobody else may interleave, so no candidates and no
-                # arbitration — just "flit buffered, room downstream".
-                if inputs[owner]._committed and out_queue.can_push():
+                # arbitration — just "room downstream" (the owner is busy,
+                # so its flit is buffered).
+                capacity = out_queue.capacity
+                if capacity is None or out_queue._occ < capacity:
                     self._transfer(owner, okey, cycle)
                     sent_inputs.append(owner)
                 continue
-            contenders = wants.get(okey)
-            if contenders is None:
-                continue
+            contenders = wants[okey]
             out_port = okey[0]
             holder = output_lock[out_port] if lock_support else None
             if sole_grant and holder is None and len(contenders) == 1:
@@ -607,7 +696,7 @@ class Router(Component, Snapshottable):
     # ------------------------------------------------------------------ #
     # the cycle, multi-VC flavour
     # ------------------------------------------------------------------ #
-    def _tick_vc(self, cycle: int, busy: List[tuple]) -> None:
+    def _tick_vc(self, cycle: int, busy: Tuple[tuple, ...]) -> None:
         """VC allocation -> switch allocation -> transfer, for vcs >= 2.
 
         Differences from the single-VC fast path: a head flit must win a
@@ -728,10 +817,14 @@ class Router(Component, Snapshottable):
         sole_grant = self.stream_fast_path and arbiter.sole_pick_is_grant
         sent_ivcs: List[VcKey] = []
         used_input_ports: set = set()
-        for out_port in self._physical_outputs:
-            contenders = wants.get(out_port)
-            if contenders is None:
-                continue
+        # Only outputs with requests, in canonical order (an input port
+        # sends one flit per cycle, so the order decides contests).
+        ports = (
+            wants if len(wants) < 2
+            else sorted(wants, key=self._phys_rank.__getitem__)
+        )
+        for out_port in ports:
+            contenders = wants[out_port]
             if sole_grant and len(contenders) == 1:
                 ivc = contenders[0]
                 if ivc[0] in used_input_ports:
@@ -778,48 +871,53 @@ class Router(Component, Snapshottable):
                 input_age[ivc] += 1
 
     def _transfer(self, ivc: VcKey, okey: VcKey, cycle: int) -> None:
+        queue, bit = self._in_slot[ivc]
+        flit = queue.move_head_to(self.outputs[okey])
+        if not queue._committed:
+            self._occupied &= ~bit
         out_port, out_vc = okey
-        flit = self.inputs[ivc].pop()
         flit.vc = out_vc  # retag for the next link's VC
-        self.outputs[okey].push(flit)
         self.flits_forwarded += 1
         self.output_busy_cycles[out_port] += 1
         seq = flit.seq
-        if seq != 0 and seq != flit.count - 1:
-            return  # body flit: no head/tail bookkeeping
-        if flit.is_head:
+        if seq == 0:
             self._input_alloc[ivc] = okey
             self._output_owner[okey] = ivc
             self._input_head[ivc] = flit
-            if self.vcs == 1:
-                self._simulator.trace.log(
-                    cycle,
-                    self.name,
-                    "route",
-                    packet=flit.packet_id,
-                    dest=flit.dest,
-                    via=out_port,
-                )
-            else:
-                self._simulator.trace.log(
-                    cycle,
-                    self.name,
-                    "route",
-                    packet=flit.packet_id,
-                    dest=flit.dest,
-                    via=out_port,
-                    vc=out_vc,
-                )
-        if flit.is_tail:
-            head = self._input_head[ivc]
-            assert head is not None
-            self._input_alloc[ivc] = None
-            self._output_owner[okey] = None
-            self._input_head[ivc] = None
-            self._release_version += 1  # a freed VC invalidates fail caches
-            self.packets_forwarded += 1
-            if self.lock_support and head.lock_related and head.packet is not None:
-                self._update_lock(out_port, head, cycle)
+            trace = self._simulator.trace
+            if trace.enabled:
+                if self.vcs == 1:
+                    trace.log(
+                        cycle,
+                        self.name,
+                        "route",
+                        packet=flit.packet_id,
+                        dest=flit.dest,
+                        via=out_port,
+                    )
+                else:
+                    trace.log(
+                        cycle,
+                        self.name,
+                        "route",
+                        packet=flit.packet_id,
+                        dest=flit.dest,
+                        via=out_port,
+                        vc=out_vc,
+                    )
+            if flit.count != 1:
+                return  # head of a longer packet: no tail bookkeeping
+        elif seq != flit.count - 1:
+            return  # body flit: no head/tail bookkeeping
+        head = self._input_head[ivc]
+        assert head is not None
+        self._input_alloc[ivc] = None
+        self._output_owner[okey] = None
+        self._input_head[ivc] = None
+        self._release_version += 1  # a freed VC invalidates fail caches
+        self.packets_forwarded += 1
+        if self.lock_support and head.lock_related and head.packet is not None:
+            self._update_lock(out_port, head, cycle)
 
     def _update_lock(self, out_port: str, head: Flit, cycle: int) -> None:
         packet = head.packet
@@ -846,8 +944,10 @@ class Router(Component, Snapshottable):
     # Everything the tick and fault paths mutate.  Not captured:
     # wiring (inputs/outputs, sorted lists, candidate-key maps, neighbour
     # geometry), _escape_vc_cache (pure geometry), _healthy_adaptive
-    # (pristine build table).  adaptive_table IS captured — fault epochs
-    # swap it for a degraded copy.
+    # (pristine build table), and the occupancy mask, which restore
+    # recomputes from the (already restored) input queues.
+    # adaptive_table IS captured — fault epochs swap it for a degraded
+    # copy.
     _snapshot_fields = (
         "_input_alloc",
         "_input_head",
@@ -879,6 +979,7 @@ class Router(Component, Snapshottable):
     def _restore_state(self, state) -> None:
         super()._restore_state(state)
         self.arbiter.restore(state["arbiter"])
+        self._occupied = self._scan_occupancy()
 
     # ------------------------------------------------------------------ #
     # introspection (tests / benches)
@@ -896,3 +997,24 @@ class Router(Component, Snapshottable):
         return {
             port: busy / cycles for port, busy in self.output_busy_cycles.items()
         }
+
+
+class _InputOccupancy:
+    """Push-waiter of one router input: marks it occupied on commit.
+
+    Registered with the input queue's ``wake_on_push`` in place of the
+    router itself, so the commit that makes flits visible both sets the
+    input's occupancy bit and wakes the router.
+    """
+
+    __slots__ = ("router", "bit")
+
+    def __init__(self, router: Router, bit: int) -> None:
+        self.router = router
+        self.bit = bit
+
+    def wake(self) -> None:
+        router = self.router
+        router._occupied |= self.bit
+        if not router._scheduled:
+            router.wake()

@@ -26,7 +26,9 @@ from test_kernel_determinism import (
     build_faulted_adaptive_gals_soc,
     build_gals_soc,
     build_mixed_soc,
+    build_saf_soc,
     build_vc_gals_soc,
+    build_vct_vc_soc,
     fingerprint,
 )
 
@@ -331,8 +333,16 @@ class TestBodyFlitFastPath:
             (build_mixed_soc, 4000),
             (build_vc_gals_soc, 5000),
             (build_adaptive_gals_soc, 5000),
+            (build_saf_soc, 4000),
+            (build_vct_vc_soc, 5000),
         ],
-        ids=["single-vc", "vc-dateline-gals", "adaptive-escape-gals"],
+        ids=[
+            "single-vc",
+            "vc-dateline-gals",
+            "adaptive-escape-gals",
+            "saf-single-vc",
+            "vct-vc-dateline-gals",
+        ],
     )
     def test_fast_path_matches_slow_path(self, build, cycles):
         fast = fingerprint(build(strict=False), cycles)

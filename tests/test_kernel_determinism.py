@@ -28,6 +28,7 @@ from repro.soc import (
     TargetSpec,
 )
 from repro.transport import topology as topo
+from repro.transport.switching import SwitchingMode
 
 
 @pytest.fixture(autouse=True)
@@ -44,9 +45,25 @@ _reset_ids = reset_ids
 
 def build_mixed_soc(strict):
     """Heterogeneous-protocol SoC covering AHB/AXI/OCP/proprietary NIUs."""
+    return _build_mixed(strict)
+
+
+def build_saf_soc(strict):
+    """The mixed-protocol SoC under store-and-forward switching: heads
+    wait for their whole packet and for downstream room, so the router's
+    switching-mode gate (not only the wormhole slot check) decides which
+    outputs have work each cycle."""
+    return _build_mixed(
+        strict, mode=SwitchingMode.STORE_AND_FORWARD, buffer_capacity=16
+    )
+
+
+def _build_mixed(strict, **extra):
     _reset_ids()
     ranges = [(0, 0x4000), (0x4000, 0x4000)]
-    builder = SocBuilder(trace=Tracer(enabled=True), strict_kernel=strict)
+    builder = SocBuilder(
+        trace=Tracer(enabled=True), strict_kernel=strict, **extra
+    )
     builder.add_initiator(
         InitiatorSpec(
             "cpu_ahb", "AHB", cpu_workload("cpu_ahb", ranges, count=20, seed=1)
@@ -282,6 +299,20 @@ def build_faulted_adaptive_gals_soc(strict):
     return soc
 
 
+def build_vct_vc_soc(strict):
+    """Virtual cut-through on the 2-VC dateline torus with GALS and
+    serialized links: the switching-mode gate under VC allocation, with
+    per-VC credits on every link."""
+    return _build_gals_like(
+        strict,
+        mode=SwitchingMode.VIRTUAL_CUT_THROUGH,
+        buffer_capacity=16,
+        routing="dor",
+        vcs=2,
+        vc_policy="dateline",
+    )
+
+
 def _build_gals_like(strict, **extra):
     _reset_ids()
     ranges = [(0, 0x2000), (0x2000, 0x2000)]
@@ -340,6 +371,8 @@ def _build_gals_like(strict, **extra):
         (build_vc_gals_soc, 5000),
         (build_adaptive_gals_soc, 5000),
         (build_faulted_adaptive_gals_soc, 5000),
+        (build_saf_soc, 4000),
+        (build_vct_vc_soc, 5000),
     ],
     ids=[
         "mixed-protocols",
@@ -348,6 +381,8 @@ def _build_gals_like(strict, **extra):
         "vc-dateline-gals",
         "adaptive-escape-gals",
         "faulted-adaptive-gals",
+        "saf-single-vc",
+        "vct-vc-dateline-gals",
     ],
 )
 def test_activity_kernel_matches_reference(build, cycles):
