@@ -35,17 +35,6 @@ builders (``benchmarks/conftest.py``):
   the fault removed and ``throughput_retention_vs_healthy`` (degraded
   completed txns over healthy) is the scenario headline — the
   resilience SLA, hard-gated at >= 0.5.
-- ``parallel_torus`` — a sharded 16x16 torus (``SocBuilder(shards=N)``)
-  run single-process and as N shard-worker processes through
-  :func:`repro.sweep.parallel.run_sharded` (``--processes``, default 4).
-  Records ``parallel_speedup`` on the critical-path basis (per-round
-  slowest-worker CPU time + coordinator overhead — single-core runners
-  time-slice the workers, so raw wall clock cannot show the
-  parallelism; the unadjusted wall times are recorded alongside), the
-  safe-window mean, boundary batch/flit/credit counts, and
-  ``fingerprint_match`` — the sharded run must be byte-identical to the
-  single-process run, and ``--check-against`` gates both that and the
-  speedup (> 1.5x at 4+ processes) absolutely.
 - ``dma_chain`` / ``stream_pipeline`` / ``collective_allreduce`` — the
   programmable-endpoint scenarios from the ``repro.workloads`` registry
   (descriptor-chained DMA engines, credit-throttled stream pipelines,
@@ -81,13 +70,15 @@ fails (exit 1) if any selected workload's activity-kernel
 ``cycles_per_s`` *or* ``flits_per_s`` drops more than
 ``--check-threshold`` (default 30%) below the baseline file's numbers
 for that workload — this is what CI runs against the committed
-``BENCH_kernel.json``.  Quick runs write to (and compare against) a
-separate ``quick_workloads`` section, because short windows amortize
-idle cycles very differently from the full ones.  ``--profile`` wraps
-each activity run in cProfile and writes the top-25 cumulative hotspots
-next to the JSON.  Every workload entry records the event-wheel
-counters ``cycles_skipped`` (dead cycles the kernel jumped over) and
-``wheel_events`` (timing-wheel re-activations scheduled).
+``BENCH_kernel.json``.  The baseline is read before the run writes
+anything, so ``--out`` may name the baseline file itself.  Quick runs
+write to (and compare against) a separate ``quick_workloads`` section,
+because short windows amortize idle cycles very differently from the
+full ones.  ``--profile`` wraps each activity run in cProfile and
+writes the top-25 cumulative hotspots next to the JSON.  Every workload
+entry records the event-wheel counters ``cycles_skipped`` (dead cycles
+the kernel jumped over) and ``wheel_events`` (timing-wheel
+re-activations scheduled).
 
 Usage::
 
@@ -127,12 +118,10 @@ from repro.sim.fingerprint import reset_ids  # noqa: E402
 from repro.soc import (  # noqa: E402
     FaultSchedule,
     InitiatorSpec,
-    SocBuilder,
     TargetSpec,
 )
 from repro.sweep import Checkpoint, Override, fork  # noqa: E402
 from repro.sweep.fork import run_cold  # noqa: E402
-from repro.sweep.parallel import run_sharded  # noqa: E402
 from repro.transport import topology as topo  # noqa: E402
 from repro import workloads  # noqa: E402  (import registers scenarios)
 
@@ -504,124 +493,6 @@ def run_router_step_bench(
     }
 
 
-#: Targets of the parallel_torus bench (one address stripe each).
-PARALLEL_TORUS_TARGETS = 16
-
-
-def build_parallel_torus(shards: int, width: int = 16):
-    """16x16 torus under saturating open-loop load, built sharded.
-
-    The workload the sharded fabric exists for: a fabric too large for
-    one process to step quickly, with traffic spread evenly (endpoints
-    land 4 per column, targets striped across the address map) so every
-    column-band shard carries comparable load.  Router links get a
-    3-stage wire pipeline — physically a long-haul link, and exactly
-    the lookahead the conservative protocol turns into its safe window
-    (W = 4 cycles per round).
-    """
-    _reset_global_ids()
-    ranges = [(i * 0x1000, 0x1000) for i in range(PARALLEL_TORUS_TARGETS)]
-    n_initiators = 3 * width * width // 16
-    endpoints = n_initiators + PARALLEL_TORUS_TARGETS
-    builder = SocBuilder(
-        shards=shards,
-        topology=topo.torus(width, width, endpoints=endpoints),
-        routing="dor",
-        vcs=2,
-        vc_policy="dateline",
-        links={"router": LinkSpec(phit_bits=64, pipeline_latency=3)},
-    )
-    for index in range(n_initiators):
-        builder.add_initiator(
-            InitiatorSpec(
-                f"ip{index}", "AXI",
-                random_workload(
-                    f"ip{index}", ranges, count=100_000, seed=30 + index,
-                    rate=0.5, tags=4, burst_beats=(4, 8),
-                ),
-                protocol_kwargs={"id_count": 4},
-            )
-        )
-    for index in range(PARALLEL_TORUS_TARGETS):
-        builder.add_target(
-            TargetSpec(f"mem{index}", size=0x1000, read_latency=3,
-                       write_latency=2)
-        )
-    return builder.build()
-
-
-def run_parallel_torus_bench(processes: int, cycles: int) -> dict:
-    """Sharded 16x16 torus: one process vs ``processes`` shard workers.
-
-    Runs the identical sharded build twice through
-    :func:`repro.sweep.parallel.run_sharded` — single-process, then one
-    worker per shard — and verifies the merged fingerprint is
-    byte-identical (a mismatch is a correctness failure, reported as
-    ``fingerprint_match`` and gated).  ``parallel_speedup`` is on the
-    critical-path basis (per-round slowest worker CPU time plus
-    coordinator overhead — what an unshared machine would see; workers
-    time-slicing a shared core would otherwise be charged for their
-    siblings), with the honest wall-clock numbers recorded alongside.
-    """
-    builder = functools.partial(build_parallel_torus, processes)
-    single = run_sharded(builder, cycles=cycles, processes=0)
-    parallel = run_sharded(builder, cycles=cycles, processes=processes)
-    match = json.dumps(single["fingerprint"], sort_keys=True) == json.dumps(
-        parallel["fingerprint"], sort_keys=True
-    )
-    single_cp = single["timing"]["critical_path_s"]
-    parallel_cp = parallel["timing"]["critical_path_s"]
-    speedup = single_cp / parallel_cp if parallel_cp else 0.0
-    flits = parallel["metrics"]["flits_forwarded"]
-    print(
-        f"   single {single_cp:.3f}s vs {processes}-process critical path "
-        f"{parallel_cp:.3f}s -> parallel_speedup {speedup:.2f}x "
-        f"({flits} flits, {parallel['timing']['rounds']} rounds, "
-        f"W_mean {parallel['timing']['safe_window_mean']:.1f}, "
-        f"fingerprint_match={match})"
-    )
-    return {
-        "processes": processes,
-        "cycles": cycles,
-        "fingerprint_match": match,
-        "parallel_speedup": round(speedup, 2),
-        "timing_basis": (
-            "critical path: per-round max worker CPU time + coordinator "
-            "overhead (single-core hosts time-slice workers, so wall "
-            "clock cannot show the parallelism; wall_s is recorded "
-            "unadjusted alongside)"
-        ),
-        "single_process": {
-            "wall_s": round(single["timing"]["wall_s"], 4),
-            "critical_path_s": round(single_cp, 4),
-            "flits_forwarded": single["metrics"]["flits_forwarded"],
-            "flits_per_s": round(
-                single["metrics"]["flits_forwarded"] / single_cp, 1
-            ) if single_cp else 0.0,
-            "completed_txns": single["metrics"]["completed"],
-        },
-        "parallel": {
-            "wall_s": round(parallel["timing"]["wall_s"], 4),
-            "critical_path_s": round(parallel_cp, 4),
-            "busy_total_s": round(parallel["timing"]["busy_total_s"], 4),
-            "coordinator_s": round(parallel["timing"]["coordinator_s"], 4),
-            "rounds": parallel["timing"]["rounds"],
-            "safe_window_mean": round(
-                parallel["timing"]["safe_window_mean"], 2
-            ),
-            "boundary_batches": parallel["timing"]["boundary_batches"],
-            "boundary_flits": parallel["timing"]["boundary_flits"],
-            "boundary_credits": parallel["timing"]["boundary_credits"],
-            "flits_forwarded": flits,
-            "flits_per_s": round(flits / parallel_cp, 1)
-            if parallel_cp else 0.0,
-            "completed_txns": parallel["metrics"]["completed"],
-        },
-        # The seed tree cannot shard at all: the single_process numbers
-        # above are this entry's in-file baseline, so no seed_v0 proxy.
-    }
-
-
 #: Offered loads swept by the sweep_fork bench (gpu_axi traffic rate).
 SWEEP_RATES = (0.1, 0.3, 0.6, 0.9)
 
@@ -712,7 +583,7 @@ def run_sweep_fork_bench(
 
 
 def check_against(
-    baseline_path: Path, results: dict, threshold: float, section: str,
+    baseline: dict, results: dict, threshold: float, section: str,
     remeasure=None,
 ) -> int:
     """Perf-regression gate: compare activity-kernel throughput.
@@ -736,12 +607,10 @@ def check_against(
     the better number wins — a scheduling burst will not reproduce on
     the retry, a real regression will.  Returns the number of
     regressions past ``threshold``.
+
+    ``baseline`` is the parsed baseline JSON, read before this run wrote
+    anything: ``--out`` may name the baseline file itself.
     """
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"!! cannot read perf baseline {baseline_path}: {exc}")
-        return 1
     regressions = 0
     for name, entry in sorted(results[section].items()):
         base_entry = baseline.get(section, {}).get(name)
@@ -761,31 +630,6 @@ def check_against(
             print(
                 f"   perf-gate sweep_fork: warm_start_speedup "
                 f"{speedup:.2f}x, results_match={match} {verdict}"
-            )
-            continue
-        if name == "parallel_torus":
-            # Absolute gates, not baseline-relative: the sharded run must
-            # be byte-identical to the single-process run, and splitting
-            # the fabric must actually pay — > 1.5x on the critical-path
-            # basis at 4+ workers (the ISSUE's bar), > 1x below that
-            # (CI's 2-process smoke can't reach the 4-process number).
-            match = entry.get("fingerprint_match", False)
-            speedup = entry.get("parallel_speedup", 0.0)
-            bar = 1.5 if entry.get("processes", 0) >= 4 else 1.0
-            verdict = "ok"
-            if not match:
-                verdict = "REGRESSION (sharded fingerprint diverged)"
-                regressions += 1
-            elif speedup <= bar:
-                verdict = (
-                    f"REGRESSION (parallel_speedup <= {bar}x at "
-                    f"{entry.get('processes')} processes)"
-                )
-                regressions += 1
-            print(
-                f"   perf-gate parallel_torus: parallel_speedup "
-                f"{speedup:.2f}x at {entry.get('processes')} processes "
-                f"(bar {bar}x), fingerprint_match={match} {verdict}"
             )
             continue
         if name == "router_step":
@@ -909,15 +753,6 @@ def main(argv=None) -> int:
              "dma_chain, stream_pipeline, collective_allreduce)",
     )
     parser.add_argument(
-        "--parallel-cycles", type=int, default=2_000,
-        help="measurement window in cycles (parallel_torus)",
-    )
-    parser.add_argument(
-        "--processes", type=int, default=4,
-        help="shard worker count for the parallel_torus bench (the build "
-             "is sharded to match; CI's quick smoke passes 2)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="small windows for CI smoke runs",
     )
@@ -938,7 +773,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workload", action="append",
-        choices=sorted([*WORKLOADS, "parallel_torus"]),
+        choices=sorted(WORKLOADS),
         metavar="NAME",
         help="run only this workload (repeatable; default: all); existing "
              "results for unselected workloads are preserved in the JSON",
@@ -984,6 +819,16 @@ def main(argv=None) -> int:
         for name, builder in WORKLOADS.items()
         if not args.workload or name in args.workload
     }
+
+    # Read the gate's baseline before anything is written: --out may be
+    # the baseline file itself (its default is BENCH_kernel.json).
+    baseline = None
+    if args.check_against:
+        try:
+            baseline = json.loads(Path(args.check_against).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"!! cannot read perf baseline {args.check_against}: {exc}")
+            return 1
 
     out = Path(args.out)
     # This run writes into the section matching its windows — "workloads"
@@ -1117,19 +962,6 @@ def main(argv=None) -> int:
         print("== sweep_fork (warm-start sweep vs cold sweep) ==")
         results[section]["sweep_fork"] = run_sweep_fork_bench()
 
-    if not args.workload or "parallel_torus" in args.workload:
-        parallel_cycles = 1_000 if args.quick else args.parallel_cycles
-        print(
-            f"== parallel_torus (sharded fabric, {args.processes} "
-            f"processes, {parallel_cycles} cycles) =="
-        )
-        entry = run_parallel_torus_bench(args.processes, parallel_cycles)
-        results[section]["parallel_torus"] = entry
-        if not entry["fingerprint_match"]:
-            print("!! parallel_torus: sharded fingerprint diverged from "
-                  "the single-process run")
-            return 1
-
     # Every full-window workload gets a speedup_vs_seed_v0: workloads
     # missing from the recorded seed baseline (they postdate it) get a
     # proxy measured under the seed execution model, marked as such.
@@ -1153,7 +985,7 @@ def main(argv=None) -> int:
 
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out}")
-    if args.check_against:
+    if baseline is not None:
 
         def remeasure(name):
             # One fresh activity-kernel measurement of a workload whose
@@ -1169,8 +1001,8 @@ def main(argv=None) -> int:
             )
 
         regressions = check_against(
-            Path(args.check_against), results, args.check_threshold,
-            section, remeasure=remeasure,
+            baseline, results, args.check_threshold, section,
+            remeasure=remeasure,
         )
         if regressions:
             print(f"!! perf gate failed: {regressions} regression(s)")

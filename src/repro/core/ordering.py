@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.sim.snapshot import Snapshottable
 
@@ -70,7 +70,6 @@ class _IssueRecord:
     sequence: int
     thread: int
     txn_tag: int
-    completed: bool = False
 
 
 @dataclass
@@ -90,30 +89,35 @@ class OrderingChecker(Snapshottable):
     master: str = ""
     strict: bool = True
     violations: List[str] = field(default_factory=list)
-    _records: Dict[int, _IssueRecord] = field(default_factory=dict)
-    # Open (incomplete) records bucketed by ordering stream, each bucket in
-    # issue order.  A completion only ever needs to look at its own stream,
-    # so the check is O(open-in-stream) instead of O(all issues ever) —
-    # with thousands of completed transactions retained for post-run stats,
-    # the full scan dominated saturated-workload profiles.
+    # Records of open (incomplete) transactions only: a completed one
+    # leaves nothing behind but its id in _completed, which the
+    # "already issued" / "completed twice" checks need.
+    _open: Dict[int, _IssueRecord] = field(default_factory=dict)
+    _completed: Set[int] = field(default_factory=set)
+    # The same open records bucketed by ordering stream, each bucket in
+    # issue order.  A completion only ever needs to look at its own
+    # stream, so the check is O(open-in-stream), not O(all open).
     _open_by_stream: Dict[Tuple[int, ...], Dict[int, _IssueRecord]] = field(
         default_factory=dict
     )
-    _open_count: int = 0
+    # Issue sequence number of the next transaction, so also the count
+    # of transactions issued.
     _sequence: int = 0
 
-    # _open_by_stream buckets alias the _IssueRecord objects in _records;
+    snapshot_version = 2
+
+    # _open_by_stream buckets alias the _IssueRecord objects in _open;
     # the checkpoint layer's shared-memo deepcopy preserves that aliasing.
     _snapshot_fields = (
         "violations",
-        "_records",
+        "_open",
+        "_completed",
         "_open_by_stream",
-        "_open_count",
         "_sequence",
     )
 
     def issue(self, txn_id: int, thread: int = 0, txn_tag: int = 0) -> None:
-        if txn_id in self._records:
+        if txn_id in self._open or txn_id in self._completed:
             raise KeyError(f"txn {txn_id} already issued on {self.master!r}")
         record = _IssueRecord(
             txn_id=txn_id,
@@ -121,18 +125,17 @@ class OrderingChecker(Snapshottable):
             thread=thread,
             txn_tag=txn_tag,
         )
-        self._records[txn_id] = record
+        self._open[txn_id] = record
         key = self.model.stream_key(thread, txn_tag)
         self._open_by_stream.setdefault(key, {})[txn_id] = record
-        self._open_count += 1
         self._sequence += 1
 
     def complete(self, txn_id: int) -> None:
-        record = self._records.get(txn_id)
+        record = self._open.get(txn_id)
         if record is None:
+            if txn_id in self._completed:
+                raise KeyError(f"txn {txn_id} completed twice")
             raise KeyError(f"txn {txn_id} completing but never issued")
-        if record.completed:
-            raise KeyError(f"txn {txn_id} completed twice")
         key = self.model.stream_key(record.thread, record.txn_tag)
         stream = self._open_by_stream[key]
         # Buckets hold only incomplete issues in issue order, so everything
@@ -149,31 +152,31 @@ class OrderingChecker(Snapshottable):
             if self.strict:
                 raise OrderingViolation(message)
             self.violations.append(message)
-        record.completed = True
+        del self._open[txn_id]
+        self._completed.add(txn_id)
         del stream[txn_id]
         if not stream:
             del self._open_by_stream[key]
-        self._open_count -= 1
 
     @property
     def outstanding(self) -> int:
-        return self._open_count
+        return len(self._open)
 
     @property
     def issued(self) -> int:
-        return len(self._records)
+        return self._sequence
 
     @property
     def completed_count(self) -> int:
-        return len(self._records) - self._open_count
+        return len(self._completed)
 
     def all_complete(self) -> bool:
         return self.outstanding == 0 and self.issued > 0
 
     def reset(self) -> None:
-        self._records.clear()
+        self._open.clear()
+        self._completed.clear()
         self._open_by_stream.clear()
-        self._open_count = 0
         self._sequence = 0
         self.violations.clear()
 

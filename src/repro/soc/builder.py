@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Union
 
 from repro.core.address_map import AddressMap
@@ -82,8 +81,6 @@ class NocSoc:
         initiator_nius: Dict[str, InitiatorNiu],
         target_nius: Dict[str, TargetNiu],
         memories: Dict[str, MemoryDevice],
-        shard_plan=None,
-        shard_ownership=None,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -93,10 +90,6 @@ class NocSoc:
         self.initiator_nius = initiator_nius
         self.target_nius = target_nius
         self.memories = memories
-        # Sharded builds (SocBuilder(shards=...)): the partition and the
-        # component/queue -> shard ownership map (None otherwise).
-        self.shard_plan = shard_plan
-        self.shard_ownership = shard_ownership
 
     # ------------------------------------------------------------------ #
     def quiescent(self) -> bool:
@@ -162,16 +155,6 @@ class NocSoc:
         """
         from repro.core.transaction import _txn_ids
         from repro.transport.flit import _flit_packet_ids
-
-        if self.shard_plan is not None:
-            from repro.sim.shard import ShardConfigError
-
-            raise ShardConfigError(
-                "snapshot/checkpoint of sharded builds is out of scope "
-                "for v1: per-source id streams are not captured, so a "
-                "restore would not replay byte-identically — build "
-                "without shards= for checkpoint sweeps"
-            )
 
         return {
             "__v__": type(self).snapshot_version,
@@ -342,7 +325,6 @@ class SocBuilder:
         faults=None,
         traffic=None,
         workload=None,
-        shards=None,
     ) -> None:
         self.name = name
         self.mode = mode
@@ -376,15 +358,6 @@ class SocBuilder:
         # can be declared with traffic=None and wired by a scenario.
         self.traffic = traffic
         self.workload = workload
-        # Sharded fabric (PR 10): shards=N partitions the topology into N
-        # contiguous stripes (plan_shards), shards=ShardPlan(...) gives
-        # the partition explicitly.  The build is then annotated with
-        # ownership metadata and per-source id streams so the same SoC
-        # runs byte-identically in one process or across N worker
-        # processes (repro.sweep.parallel).  Incompatible knobs (faults,
-        # strict kernel, enabled tracer, transparent inter-router links)
-        # raise ShardConfigError at build time.
-        self.shards = shards
         self.initiators: List[InitiatorSpec] = []
         self.targets: List[TargetSpec] = []
 
@@ -520,37 +493,6 @@ class SocBuilder:
         endpoints = len(self.initiators) + len(self.targets)
         topology = self.topology or self._default_topology(endpoints)
 
-        # Sharded fabric: resolve the plan and start ownership recording.
-        shard_plan = None
-        shard_ownership = None
-        if self.shards is not None:
-            from repro.sim.shard import (
-                ShardConfigError,
-                ShardOwnership,
-                ShardPlan,
-                plan_shards,
-            )
-
-            if sim.strict:
-                raise ShardConfigError(
-                    "the strict reference kernel cannot drive sharded "
-                    "builds (strict_kernel=True or REPRO_SIM_STRICT): it "
-                    "ticks every component every cycle, which the "
-                    "activity-driven round protocol does not reproduce — "
-                    "drop strict_kernel or shards"
-                )
-            if sim.trace.enabled:
-                raise ShardConfigError(
-                    "tracing is out of scope for sharded builds (v1): "
-                    "per-shard event streams have no global order to "
-                    "merge under — disable the tracer or drop shards"
-                )
-            if isinstance(self.shards, ShardPlan):
-                shard_plan = self.shards
-            else:
-                shard_plan = plan_shards(topology, int(self.shards))
-            shard_ownership = ShardOwnership(sim, shard_plan.n_shards)
-
         # Physical layer: clock regions and per-link-class wire specs.
         domains = self._resolve_clock_domains()
         fabric_domain = self._domain_for(self.fabric_region, domains, "fabric")
@@ -627,17 +569,8 @@ class SocBuilder:
             vc_policy=self.vc_policy,
             vc_separation=self.vc_separation,
             faults=self.faults,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
         )
         address_map = self._build_address_map()
-
-        def owned_by_endpoint(endpoint: int):
-            if shard_ownership is None:
-                return nullcontext()
-            return shard_ownership.owned_by(
-                shard_plan.shard_of(topology.router_of(endpoint))
-            )
 
         traffic_overrides = self._resolve_traffic()
         masters: Dict[str, ProtocolMaster] = {}
@@ -653,20 +586,17 @@ class SocBuilder:
                     f"InitiatorSpec(traffic=...), SocBuilder(traffic=[...])"
                     f" or workload={{...}}"
                 )
-            with owned_by_endpoint(endpoint):
-                master = master_cls(
-                    spec.name, sim, source, **spec.protocol_kwargs
-                )
-                domain = endpoint_domains.get(endpoint)
-                if domain is not None:
-                    master.set_clock_domain(domain)
-                sim.add(master)
-                niu = _make_initiator_niu(
-                    spec, fabric, endpoint, address_map, master
-                )
-                if domain is not None:
-                    niu.set_clock_domain(domain)
-                sim.add(niu)
+            master = master_cls(
+                spec.name, sim, source, **spec.protocol_kwargs
+            )
+            domain = endpoint_domains.get(endpoint)
+            if domain is not None:
+                master.set_clock_domain(domain)
+            sim.add(master)
+            niu = _make_initiator_niu(spec, fabric, endpoint, address_map, master)
+            if domain is not None:
+                niu.set_clock_domain(domain)
+            sim.add(niu)
             masters[spec.name] = master
             initiator_nius[spec.name] = niu
 
@@ -675,19 +605,46 @@ class SocBuilder:
         n_init = len(self.initiators)
         for index, spec in enumerate(self.targets):
             endpoint = n_init + index
-            with owned_by_endpoint(endpoint):
-                self._build_target(
-                    spec,
-                    endpoint,
-                    sim,
-                    fabric,
-                    layer_config,
-                    endpoint_domains,
-                    target_nius,
-                    memories,
-                )
+            socket = SlaveSocket(sim, f"{spec.name}.sock")
+            monitor = (
+                ExclusiveMonitor(name=f"{spec.name}.monitor")
+                if NocService.EXCLUSIVE_ACCESS in layer_config.services
+                else None
+            )
+            locks = (
+                LockManager(name=f"{spec.name}.locks")
+                if NocService.LEGACY_LOCK in layer_config.services
+                else None
+            )
+            target_niu = TargetNiu(
+                f"{spec.name}.niu",
+                fabric,
+                endpoint,
+                socket,
+                max_outstanding=spec.max_outstanding,
+                exclusive_monitor=monitor,
+                lock_manager=locks,
+            )
+            domain = endpoint_domains.get(endpoint)
+            if domain is not None:
+                target_niu.set_clock_domain(domain)
+            sim.add(target_niu)
+            memory = MemoryDevice(
+                spec.name,
+                socket,
+                size=spec.size,
+                read_latency=spec.read_latency,
+                write_latency=spec.write_latency,
+                per_beat_cycles=spec.per_beat_cycles,
+                error_ranges=spec.error_ranges,
+            )
+            if domain is not None:
+                memory.set_clock_domain(domain)
+            sim.add(memory)
+            target_nius[spec.name] = target_niu
+            memories[spec.name] = memory
 
-        soc = NocSoc(
+        return NocSoc(
             sim,
             fabric,
             layer_config,
@@ -696,98 +653,4 @@ class SocBuilder:
             initiator_nius,
             target_nius,
             memories,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
         )
-        if shard_plan is not None:
-            self._install_shard_id_streams(soc)
-            shard_ownership.finalize()
-        return soc
-
-    def _build_target(
-        self,
-        spec,
-        endpoint: int,
-        sim,
-        fabric,
-        layer_config,
-        endpoint_domains,
-        target_nius,
-        memories,
-    ) -> None:
-        socket = SlaveSocket(sim, f"{spec.name}.sock")
-        monitor = (
-            ExclusiveMonitor(name=f"{spec.name}.monitor")
-            if NocService.EXCLUSIVE_ACCESS in layer_config.services
-            else None
-        )
-        locks = (
-            LockManager(name=f"{spec.name}.locks")
-            if NocService.LEGACY_LOCK in layer_config.services
-            else None
-        )
-        target_niu = TargetNiu(
-            f"{spec.name}.niu",
-            fabric,
-            endpoint,
-            socket,
-            max_outstanding=spec.max_outstanding,
-            exclusive_monitor=monitor,
-            lock_manager=locks,
-        )
-        domain = endpoint_domains.get(endpoint)
-        if domain is not None:
-            target_niu.set_clock_domain(domain)
-        sim.add(target_niu)
-        memory = MemoryDevice(
-            spec.name,
-            socket,
-            size=spec.size,
-            read_latency=spec.read_latency,
-            write_latency=spec.write_latency,
-            per_beat_cycles=spec.per_beat_cycles,
-            error_ranges=spec.error_ranges,
-        )
-        if domain is not None:
-            memory.set_clock_domain(domain)
-        sim.add(memory)
-        target_nius[spec.name] = target_niu
-        memories[spec.name] = memory
-
-    def _install_shard_id_streams(self, soc: NocSoc) -> None:
-        """Give every id-allocating component its own id stream.
-
-        A single-process run interleaves all sources on the process
-        globals (``transaction._txn_ids`` / ``flit._flit_packet_ids``);
-        worker processes only run their own sources, so the allocation
-        interleaving — and with it the id *values*, which leak into
-        behavior through protocol id truncation (VCI's 8-bit pktid) —
-        would differ.  Scoped streams make allocation a per-source
-        affair: identical values whether the sources run together or
-        apart.  Streams are a pure function of the build (endpoint and
-        port order), so every process derives the same ones.
-        """
-        from repro.sim.shard import (
-            scope_packet_ids,
-            scope_txn_ids,
-            txn_id_stream,
-        )
-
-        for endpoint, spec in enumerate(self.initiators):
-            stream = txn_id_stream(endpoint)
-            # Master and its NIU share the endpoint's stream: both
-            # allocate on behalf of the same source.
-            scope_txn_ids(soc.masters[spec.name], stream)
-            scope_txn_ids(soc.initiator_nius[spec.name], stream)
-        n_init = len(self.initiators)
-        for index, spec in enumerate(self.targets):
-            stream = txn_id_stream(n_init + index)
-            scope_txn_ids(soc.target_nius[spec.name], stream)
-            scope_txn_ids(soc.memories[spec.name], stream)
-        scope = len(self.initiators) + len(self.targets)
-        for plane in soc.fabric._planes:
-            for endpoint in sorted(plane.injection_ports):
-                scope_packet_ids(
-                    plane.injection_ports[endpoint], txn_id_stream(scope)
-                )
-                scope += 1

@@ -5,20 +5,15 @@
 state tree; :func:`~repro.sweep.fork.fork` warm-starts one simulated
 prefix and forks N what-if continuations (load points, fault schedules,
 parameter tweaks) across a process pool, producing a deterministic
-comparison report; :func:`~repro.sweep.parallel.run_sharded` runs a
-``SocBuilder(shards=N)`` build as one conservative shard-worker process
-per shard, byte-identical to the single-process run.
+comparison report.
 """
 
 from repro.sweep.checkpoint import Checkpoint, CheckpointFormatError
 from repro.sweep.fork import Override, fork
-from repro.sweep.parallel import ShardWorkerError, run_sharded
 
 __all__ = [
     "Checkpoint",
     "CheckpointFormatError",
     "Override",
-    "ShardWorkerError",
     "fork",
-    "run_sharded",
 ]

@@ -23,15 +23,32 @@ Overrides come in two kinds:
 Everything handed to a process pool (builders, overrides, collectors)
 must be module-level picklable; ``processes=0`` runs serially in-process
 and accepts arbitrary callables.
+
+Every continuation, pooled or serial, rebuilds its SoC through
+:func:`bootstrap_soc`, which resets the process-global id counters
+first: a rebuild must allocate the same ids as the captured run, or
+fingerprints silently diverge.  Pools use the ``fork`` start method:
+builders close over live objects (topologies, traffic sources,
+LinkSpecs) that are not generally picklable, and fork inherits them by
+address-space copy.  On platforms without fork, ``processes > 0``
+raises rather than silently running with ``spawn`` semantics.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.sim.fingerprint import reset_ids
 from repro.sweep.checkpoint import Checkpoint
-from repro.sweep.worker import bootstrap_soc, mp_context
+
+
+def bootstrap_soc(builder: Callable):
+    """Build a SoC with the global id counters reset first, so the build
+    allocates identically no matter what ran in this process before."""
+    reset_ids()
+    return builder()
 
 
 @dataclass(frozen=True)
@@ -152,7 +169,7 @@ def fork(
         for override in overrides
     ]
     if processes and processes > 0:
-        with mp_context().Pool(processes) as pool:
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             results: List[Dict] = pool.map(_run_fork_task, tasks)
     else:
         results = [_run_fork_task(task) for task in tasks]

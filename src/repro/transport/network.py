@@ -31,7 +31,6 @@ NIU-facing API (all packet granularity; flits and VCs are internal):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.packet import NocPacket, PacketFormat, PacketKind
@@ -39,13 +38,6 @@ from repro.phys.link import LinkSpec, PhysicalLink, VcPhysicalLink, domains_cros
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.queue import SimQueue
-from repro.sim.shard import (
-    ShardConfigError,
-    ShardLinkRx,
-    ShardLinkTx,
-    ShardOwnership,
-    ShardPlan,
-)
 from repro.sim.snapshot import Snapshottable
 from repro.sim.stats import Histogram
 from repro.transport.faults import (
@@ -515,17 +507,10 @@ class Network(Snapshottable):
         vc_policy=None,
         split_ejection_by_kind: bool = False,
         faults: Optional[FaultSchedule] = None,
-        shard_plan: Optional[ShardPlan] = None,
-        shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.name = name
-        self._shard_plan = shard_plan
-        self._shard_ownership = shard_ownership
-        #: Boundary halves of cut inter-router links, keyed (src, dst).
-        self.boundary_tx: Dict[tuple, ShardLinkTx] = {}
-        self.boundary_rx: Dict[tuple, ShardLinkRx] = {}
         self.mode = mode
         self.flit_payload_bits = flit_payload_bits
         self.buffer_capacity = buffer_capacity
@@ -561,19 +546,6 @@ class Network(Snapshottable):
         self.links: List[Union[PhysicalLink, VcPhysicalLink]] = []
         self._link_feed_queues: List[SimQueue] = []
         self._validate_buffer_sizing()
-        if shard_plan is not None:
-            shard_plan.validate(topology)
-            if shard_plan.cut_edges(topology) and self.link_spec.transparent(
-                False
-            ):
-                raise ShardConfigError(
-                    f"{name}: the shard plan cuts inter-router links but "
-                    f"the router link spec is transparent (an ideal wire "
-                    f"has zero lookahead, so there is no safe window to "
-                    f"parallelize over) — give the inter-router links a "
-                    f"LinkSpec with pipeline_latency >= 1 or narrowed "
-                    f"phits"
-                )
 
         if routing == "adaptive":
             adaptive_tables = compute_adaptive_tables(topology)
@@ -613,14 +585,6 @@ class Network(Snapshottable):
         self.fault_injector: Optional[FaultInjector] = None
         self._edge_links: Dict[tuple, Optional[Union[PhysicalLink, VcPhysicalLink]]] = {}
         self._edge_feeds: Dict[tuple, List[SimQueue]] = {}
-        if shard_plan is not None and schedule:
-            raise ShardConfigError(
-                f"{name}: fault injection is out of scope for sharded "
-                f"fabrics (v1) — a fault epoch is a global event that "
-                f"the per-shard safe window cannot order; drop the fault "
-                f"schedule (and any LinkSpec.fault_windows) or the "
-                f"shards"
-            )
         if schedule:
             schedule.validate(topology)
             self.fault_injector = FaultInjector(f"{name}.faults", self, schedule)
@@ -653,8 +617,7 @@ class Network(Snapshottable):
             )
             if fabric_domain is not None:
                 router.set_clock_domain(fabric_domain)
-            with self._own(router_id):
-                sim.add(router)
+            sim.add(router)
             self.routers[router_id] = router
 
         # Inter-router links: router A's output "to:B" feeds router B's
@@ -662,37 +625,23 @@ class Network(Snapshottable):
         # a transparent spec degenerates to one shared queue per VC).
         for a, b in sorted(topology.graph.edges, key=_edge_sort_key):
             for src, dst in ((a, b), (b, a)):
-                if shard_plan is not None and shard_plan.shard_of(
-                    src
-                ) != shard_plan.shard_of(dst):
-                    # Cut edge: the link becomes a boundary tx/rx pair,
-                    # feed queues on the source shard, delivery queues on
-                    # the destination shard (see repro.sim.shard).
-                    feeds, deliveries = self._build_boundary(
-                        f"{name}.link.{src}->{dst}", src, dst
-                    )
-                    self._edge_links[(src, dst)] = None
+                links_before = len(self.links)
+                feeds, deliveries = self._build_link(
+                    f"{name}.link.{src}->{dst}",
+                    self.link_spec,
+                    fabric_domain,
+                    fabric_domain,
+                )
+                if len(self.links) > links_before:
+                    # Real link: the injector counts its staged/in-flight
+                    # phits when a fault cuts this edge (they drain).
+                    self._edge_links[(src, dst)] = self.links[-1]
                     self._edge_feeds[(src, dst)] = feeds
                 else:
-                    links_before = len(self.links)
-                    with self._own(src):
-                        feeds, deliveries = self._build_link(
-                            f"{name}.link.{src}->{dst}",
-                            self.link_spec,
-                            fabric_domain,
-                            fabric_domain,
-                        )
-                    if len(self.links) > links_before:
-                        # Real link: the injector counts its staged/
-                        # in-flight phits when a fault cuts this edge
-                        # (they drain).
-                        self._edge_links[(src, dst)] = self.links[-1]
-                        self._edge_feeds[(src, dst)] = feeds
-                    else:
-                        # Transparent wire: the "link" is the downstream
-                        # input buffer itself, nothing is ever in flight.
-                        self._edge_links[(src, dst)] = None
-                        self._edge_feeds[(src, dst)] = []
+                    # Transparent wire: the "link" is the downstream input
+                    # buffer itself, nothing is ever in flight.
+                    self._edge_links[(src, dst)] = None
+                    self._edge_feeds[(src, dst)] = []
                 for vc in range(self.vcs):
                     self.routers[src].add_output(
                         port_to(dst), feeds[vc], vc=vc, neighbor=dst
@@ -709,155 +658,76 @@ class Network(Snapshottable):
         self.injection_ports: Dict[int, InjectionPort] = {}
         self.ejection_ports: Dict[int, EjectionPort] = {}
         for endpoint in topology.endpoints:
-            with self._own(topology.router_of(endpoint)):
-                self._attach_endpoint(endpoint, endpoint_queue_capacity)
+            router = self.routers[topology.router_of(endpoint)]
+            ep_domain = self.endpoint_domains.get(endpoint)
+            inj_packets = sim.new_queue(
+                f"{name}.inj.{endpoint}.pkts", capacity=endpoint_queue_capacity
+            )
+            inj_feeds, inj_deliveries = self._build_link(
+                f"{name}.inj.{endpoint}.flits",
+                self.endpoint_link_spec,
+                ep_domain,
+                fabric_domain,
+            )
+            for vc in range(self.vcs):
+                router.add_input(
+                    f"inj:{endpoint}", inj_deliveries[vc], vc=vc, order=endpoint
+                )
+            port = InjectionPort(
+                f"{name}.inj.{endpoint}",
+                endpoint,
+                self.packetizer,
+                inj_packets,
+                inj_feeds,
+                vc_policy=self.vc_policy,
+            )
+            if ep_domain is not None:
+                port.set_clock_domain(ep_domain)
+            sim.add(port)
+            self._inject_queues[endpoint] = inj_packets
+            self.injection_ports[endpoint] = port
+
+            ej_feeds, ej_deliveries = self._build_link(
+                f"{name}.ej.{endpoint}.flits",
+                self.endpoint_link_spec,
+                fabric_domain,
+                ep_domain,
+            )
+            for vc in range(self.vcs):
+                router.add_output(
+                    port_local(endpoint), ej_feeds[vc], vc=vc, order=endpoint
+                )
+            ej_packets: Union[SimQueue, Dict[PacketKind, SimQueue]]
+            if split_ejection_by_kind:
+                ej_packets = {
+                    PacketKind.REQUEST: sim.new_queue(
+                        f"{name}.ej.{endpoint}.pkts.req",
+                        capacity=endpoint_queue_capacity,
+                    ),
+                    PacketKind.RESPONSE: sim.new_queue(
+                        f"{name}.ej.{endpoint}.pkts.rsp",
+                        capacity=endpoint_queue_capacity,
+                    ),
+                }
+            else:
+                ej_packets = sim.new_queue(
+                    f"{name}.ej.{endpoint}.pkts", capacity=endpoint_queue_capacity
+                )
+            eport = EjectionPort(
+                f"{name}.ej.{endpoint}",
+                endpoint,
+                ej_deliveries,
+                ej_packets,
+                resequence=self._sequenced,
+                flow_prefix=f"{name}.flow",
+            )
+            if ep_domain is not None:
+                eport.set_clock_domain(ep_domain)
+            sim.add(eport)
+            self._eject_queues[endpoint] = ej_packets
+            self.ejection_ports[endpoint] = eport
         for router in self.routers.values():
             router.finish_wiring()
-
-    def _attach_endpoint(
-        self, endpoint: int, endpoint_queue_capacity: int
-    ) -> None:
-        """Injection + ejection for one endpoint (everything this
-        registers is owned by the endpoint's router's shard)."""
-        sim = self.sim
-        name = self.name
-        fabric_domain = self.fabric_domain
-        split_ejection_by_kind = self.split_ejection_by_kind
-        router = self.routers[self.topology.router_of(endpoint)]
-        ep_domain = self.endpoint_domains.get(endpoint)
-        inj_packets = sim.new_queue(
-            f"{name}.inj.{endpoint}.pkts", capacity=endpoint_queue_capacity
-        )
-        inj_feeds, inj_deliveries = self._build_link(
-            f"{name}.inj.{endpoint}.flits",
-            self.endpoint_link_spec,
-            ep_domain,
-            fabric_domain,
-        )
-        for vc in range(self.vcs):
-            router.add_input(
-                f"inj:{endpoint}", inj_deliveries[vc], vc=vc, order=endpoint
-            )
-        port = InjectionPort(
-            f"{name}.inj.{endpoint}",
-            endpoint,
-            self.packetizer,
-            inj_packets,
-            inj_feeds,
-            vc_policy=self.vc_policy,
-        )
-        if ep_domain is not None:
-            port.set_clock_domain(ep_domain)
-        sim.add(port)
-        self._inject_queues[endpoint] = inj_packets
-        self.injection_ports[endpoint] = port
-
-        ej_feeds, ej_deliveries = self._build_link(
-            f"{name}.ej.{endpoint}.flits",
-            self.endpoint_link_spec,
-            fabric_domain,
-            ep_domain,
-        )
-        for vc in range(self.vcs):
-            router.add_output(
-                port_local(endpoint), ej_feeds[vc], vc=vc, order=endpoint
-            )
-        ej_packets: Union[SimQueue, Dict[PacketKind, SimQueue]]
-        if split_ejection_by_kind:
-            ej_packets = {
-                PacketKind.REQUEST: sim.new_queue(
-                    f"{name}.ej.{endpoint}.pkts.req",
-                    capacity=endpoint_queue_capacity,
-                ),
-                PacketKind.RESPONSE: sim.new_queue(
-                    f"{name}.ej.{endpoint}.pkts.rsp",
-                    capacity=endpoint_queue_capacity,
-                ),
-            }
-        else:
-            ej_packets = sim.new_queue(
-                f"{name}.ej.{endpoint}.pkts", capacity=endpoint_queue_capacity
-            )
-        eport = EjectionPort(
-            f"{name}.ej.{endpoint}",
-            endpoint,
-            ej_deliveries,
-            ej_packets,
-            resequence=self._sequenced,
-            flow_prefix=f"{name}.flow",
-        )
-        if ep_domain is not None:
-            eport.set_clock_domain(ep_domain)
-        sim.add(eport)
-        self._eject_queues[endpoint] = ej_packets
-        self.ejection_ports[endpoint] = eport
-
-    # ------------------------------------------------------------------ #
-    # shard boundary wiring
-    # ------------------------------------------------------------------ #
-    def _own(self, router_id: Hashable):
-        """Ownership scope for state belonging to ``router_id``'s shard
-        (a no-op context on unsharded builds)."""
-        if self._shard_ownership is None or self._shard_plan is None:
-            return nullcontext()
-        return self._shard_ownership.owned_by(
-            self._shard_plan.shard_of(router_id)
-        )
-
-    def _build_boundary(
-        self, qname: str, src: Hashable, dst: Hashable
-    ) -> Tuple[List[SimQueue], List[SimQueue]]:
-        """Build a cut inter-router link as a ShardLinkTx/Rx pair.
-
-        Queue names match :meth:`_build_link`'s non-transparent layout
-        (feeds ``<qname>[.vcN].tx``, deliveries ``<qname>[.vcN]``); the
-        tx half and the feeds belong to the source shard, the rx half
-        and the deliveries to the destination shard.  The rx is
-        registered here — after the plane's routers — so it observes
-        destination-router pops in the cycle they happen.
-        """
-        spec = self.link_spec
-        plan = self._shard_plan
-        vcs = self.vcs
-        names = [qname if vc == 0 else f"{qname}.vc{vc}" for vc in range(vcs)]
-        capacity = spec.capacity or self.buffer_capacity
-        flit_bits = self.packetizer.flit_bits
-        credit_return = (
-            plan.credit_return_latency
-            if plan.credit_return_latency is not None
-            else 1 + spec.pipeline_latency
-        )
-        with self._own(src):
-            feeds = [
-                self.sim.new_queue(f"{n}.tx", capacity=capacity)
-                for n in names
-            ]
-            tx = ShardLinkTx(
-                f"{qname}.phy.tx",
-                feeds,
-                [capacity] * vcs,
-                flit_bits=flit_bits,
-                phit_bits=spec.phit_bits or flit_bits,
-                pipeline_latency=spec.pipeline_latency,
-                credit_return_latency=credit_return,
-            )
-            if self.fabric_domain is not None:
-                tx.set_clock_domain(self.fabric_domain)
-            self.sim.add(tx)
-        with self._own(dst):
-            deliveries = [
-                self.sim.new_queue(n, capacity=capacity) for n in names
-            ]
-            rx = ShardLinkRx(f"{qname}.phy.rx", deliveries)
-            if self.fabric_domain is not None:
-                rx.set_clock_domain(self.fabric_domain)
-            self.sim.add(rx)
-        tx.bind_peer(rx)
-        rx.bind_peer(tx)
-        self._link_feed_queues.extend(feeds)
-        self.boundary_tx[(src, dst)] = tx
-        self.boundary_rx[(src, dst)] = rx
-        return feeds, deliveries
 
     # ------------------------------------------------------------------ #
     # build-time validation
@@ -1050,14 +920,6 @@ class Network(Snapshottable):
         for link in self.links:
             if link.in_flight:
                 return False
-        # Boundary halves of cut links: a flit mid-serialization or an
-        # envelope waiting in an inbox/outbox is still in flight.
-        for tx in self.boundary_tx.values():
-            if not tx.idle():
-                return False
-        for rx in self.boundary_rx.values():
-            if not rx.idle():
-                return False
         return True
 
     def mean_link_utilization(self, cycles: int) -> float:
@@ -1117,13 +979,10 @@ class Fabric:
         vc_policy=None,
         vc_separation: bool = False,
         faults: Optional[FaultSchedule] = None,
-        shard_plan: Optional[ShardPlan] = None,
-        shard_ownership: Optional[ShardOwnership] = None,
     ) -> None:
         self.sim = sim
         self.topology = topology
         self.name = name
-        self.shard_plan = shard_plan
         self.packet_format = packet_format
         self.fabric_domain = fabric_domain
         self.endpoint_domains = dict(endpoint_domains or {})
@@ -1154,8 +1013,6 @@ class Fabric:
             endpoint_domains=endpoint_domains,
             vcs=vcs,
             faults=faults,
-            shard_plan=shard_plan,
-            shard_ownership=shard_ownership,
         )
         if vc_separation:
             if vcs < 2 or vcs % 2:

@@ -1,5 +1,6 @@
 """Unit + property tests for the three ordering models and the checker."""
 
+import copy
 
 import pytest
 from hypothesis import given
@@ -92,20 +93,56 @@ class TestChecker:
     def test_double_issue_rejected(self):
         checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
         checker.issue(1)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="already issued"):
             checker.issue(1)
 
     def test_unknown_completion_rejected(self):
         checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="never issued"):
             checker.complete(9)
 
     def test_double_completion_rejected(self):
         checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
         checker.issue(1)
         checker.complete(1)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="completed twice"):
             checker.complete(1)
+
+    def test_reissue_after_completion_rejected(self):
+        checker = OrderingChecker(model=OrderingModel.FULLY_ORDERED)
+        checker.issue(1)
+        checker.complete(1)
+        with pytest.raises(KeyError, match="already issued"):
+            checker.issue(1)
+        assert checker.issued == 1
+
+    def test_snapshot_restore_with_open_and_completed(self):
+        checker = OrderingChecker(model=OrderingModel.THREADED, strict=False)
+        checker.issue(1, thread=0)
+        checker.issue(2, thread=1)
+        checker.issue(3, thread=0)
+        checker.complete(2)
+        # One deepcopy of the whole tree, as Checkpoint takes it.
+        envelope = copy.deepcopy(checker.snapshot())
+        restored = OrderingChecker(model=OrderingModel.THREADED, strict=False)
+        restored.restore(envelope)
+        assert (restored.issued, restored.completed_count) == (3, 1)
+        assert restored.outstanding == 2
+        # The stream buckets still alias the open records.
+        for bucket in restored._open_by_stream.values():
+            for txn_id, record in bucket.items():
+                assert restored._open[txn_id] is record
+        with pytest.raises(KeyError, match="completed twice"):
+            restored.complete(2)
+        with pytest.raises(KeyError, match="already issued"):
+            restored.issue(2)
+        # Txn 3 overtakes open txn 1 in thread 0: still a violation.
+        restored.complete(3)
+        assert len(restored.violations) == 1
+        restored.complete(1)
+        assert restored.all_complete()
+        # The original is untouched by the restored copy's progress.
+        assert (checker.outstanding, checker.violations) == (2, [])
 
     def test_counters(self):
         checker = OrderingChecker(model=OrderingModel.THREADED)
